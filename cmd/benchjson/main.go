@@ -24,10 +24,13 @@
 // cost of default-rate tracing (ingest_http_binary_traced vs
 // ingest_http_binary at GOMAXPROCS=1); -max-qos-overhead bounds the cost
 // configured tenants impose on untagged ingest (ingest_http_binary_qos vs
-// ingest_http_binary); -assert-qos-isolation requires the quiet tenant in
-// the isolation bench to keep at least that admitted fraction while the
-// noisy tenant is throttled. -procs groups larger than the host's CPU count
-// are skipped with a note — oversubscribed numbers measure scheduler churn.
+// ingest_http_binary). Both overheads are median ratios over interleaved
+// rounds of the three groups, so host drift cancels instead of landing on
+// one side of a one-shot comparison. -assert-qos-isolation requires the
+// quiet tenant in the isolation bench to keep at least that admitted
+// fraction while the noisy tenant is throttled. -procs groups larger than
+// the host's CPU count are skipped with a note — oversubscribed numbers
+// measure scheduler churn.
 //
 // The HTTP benches run with Config.SelfCurves enabled and send X-Request-Id,
 // so the measured path is the fully instrumented one: trace-ID propagation,
@@ -50,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -138,6 +142,47 @@ func measure(name string, minTime time.Duration, fn func()) Measurement {
 		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(iters),
 		Iterations:  iters,
 	}
+}
+
+// overheadRounds is how many alternating rounds measureInterleaved splits
+// its time budget into; odd, so the median ratio is one round's figure.
+const overheadRounds = 9
+
+// measureInterleaved times fns in alternating rounds of minTime/rounds each
+// (forward order on even rounds, reversed on odd ones), so host drift —
+// steal, frequency, GC debt — lands on every fn alike. It returns one
+// Measurement per fn aggregated over all rounds and, per fn, the median
+// over rounds of its ns/op divided by fns[0]'s in the same round: an
+// overhead ratio that one-shot measurements of a ~10µs op cannot resolve.
+func measureInterleaved(minTime time.Duration, rounds int, names []string, fns ...func()) ([]Measurement, []float64) {
+	out := make([]Measurement, len(fns))
+	ratios := make([][]float64, len(fns))
+	round := make([]Measurement, len(fns))
+	for r := 0; r < rounds; r++ {
+		for j := range fns {
+			i := j
+			if r%2 == 1 {
+				i = len(fns) - 1 - j
+			}
+			round[i] = measure(names[i], minTime/time.Duration(rounds), fns[i])
+		}
+		for i, m := range round {
+			ratios[i] = append(ratios[i], m.NsPerOp/round[0].NsPerOp)
+			o := &out[i]
+			prev, n := float64(o.Iterations), float64(o.Iterations+m.Iterations)
+			o.NsPerOp = (o.NsPerOp*prev + m.NsPerOp*float64(m.Iterations)) / n
+			o.AllocsPerOp = (o.AllocsPerOp*prev + m.AllocsPerOp*float64(m.Iterations)) / n
+			o.BytesPerOp = (o.BytesPerOp*prev + m.BytesPerOp*float64(m.Iterations)) / n
+			o.Iterations += m.Iterations
+			o.Name, o.GOMAXPROCS = m.Name, m.GOMAXPROCS
+		}
+	}
+	med := make([]float64, len(fns))
+	for i, rs := range ratios {
+		sort.Float64s(rs)
+		med[i] = rs[len(rs)/2]
+	}
+	return out, med
 }
 
 // ---- serving-path harness ---------------------------------------------------
@@ -489,23 +534,19 @@ func run(opts options) (*Report, error) {
 		httpJSON.SamplesPerSec = float64(len(batchDemands)) / (httpJSON.NsPerOp / 1e9)
 		add(httpJSON)
 		bb := newIngestBench(srv.Handler(), "b", server.ContentTypeBinary, batchDemands, 3)
-		httpBinary := measure("ingest_http_binary", minTime, func() { bb.op(true) })
-		httpBinary.SamplesPerSec = float64(len(batchDemands)) / (httpBinary.NsPerOp / 1e9)
-		add(httpBinary)
-		report.Speedups["ingest_binary_vs_json"] = httpJSON.NsPerOp / httpBinary.NsPerOp
-		// The absolute bound is checked on the GOMAXPROCS=1 group only:
-		// single-proc runs count exactly the handler's own allocations,
-		// while multi-proc runs also pick up background-GC noise.
-		if opts.maxBinaryAllocs > 0 && p == 1 && httpBinary.AllocsPerOp > opts.maxBinaryAllocs {
-			return nil, fmt.Errorf("ingest_http_binary allocates %.1f/op, bound %.1f (GOMAXPROCS=%d)",
-				httpBinary.AllocsPerOp, opts.maxBinaryAllocs, p)
-		}
 
-		// Same path with tracing at the default 1-in-N sample rate: every
-		// request records its span tree (the recording cost is paid whether
-		// or not the trace is kept), and the client sends a W3C traceparent
-		// so the parse/echo path is inside the measurement. trace_overhead
-		// is the fractional latency cost vs the untraced server above.
+		// The same binary path twice more, each against the server above:
+		// with tracing at the default 1-in-N sample rate (every request
+		// records its span tree — the recording cost is paid whether or not
+		// the trace is kept — and the client sends a W3C traceparent so the
+		// parse/echo path is inside the measurement), and on a server with
+		// tenants configured, driven by untagged traffic that never opted
+		// in. "acme" has a bucket generous enough to never reject (the full
+		// tagged path — header parse, registry lookup, GCRA take), "noisy"
+		// one the serial bench saturates immediately, and "quiet" none at
+		// all; the last two serve the isolation bench below.
+		// trace_overhead and qos_overhead are their fractional latency cost
+		// over the plain binary path, as median ratios of interleaved rounds.
 		tsrv, err := server.New(server.Config{
 			Stream: ingestCfg, SelfCurves: true, TraceSample: server.DefaultTraceSample,
 		})
@@ -514,18 +555,51 @@ func run(opts options) (*Report, error) {
 		}
 		tb := newIngestBench(tsrv.Handler(), "t", server.ContentTypeBinary, batchDemands, 3)
 		tb.req.Header.Set("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-		httpTraced := measure("ingest_http_binary_traced", minTime, func() { tb.op(true) })
-		httpTraced.SamplesPerSec = float64(len(batchDemands)) / (httpTraced.NsPerOp / 1e9)
+		qosSrv, err := server.New(server.Config{
+			Stream: ingestCfg, SelfCurves: true,
+			Tenants: []qos.TenantConfig{
+				{Name: "acme", SLO: "interactive", RatePerSec: 1e8, Burst: 1024},
+				{Name: "noisy", SLO: "besteffort", RatePerSec: 500, Burst: 32},
+				{Name: "quiet", SLO: "interactive"},
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		qub := newIngestBench(qosSrv.Handler(), "b", server.ContentTypeBinary, batchDemands, 3)
+		paired, ratios := measureInterleaved(minTime, overheadRounds,
+			[]string{"ingest_http_binary", "ingest_http_binary_traced", "ingest_http_binary_qos"},
+			func() { bb.op(true) }, func() { tb.op(true) }, func() { qub.op(true) })
+		for i := range paired {
+			paired[i].SamplesPerSec = float64(len(batchDemands)) / (paired[i].NsPerOp / 1e9)
+		}
+		httpBinary, httpTraced, qosUntagged := paired[0], paired[1], paired[2]
+		overhead, qosOverhead := ratios[1], ratios[2]
+		add(httpBinary)
 		add(httpTraced)
-		overhead := httpTraced.NsPerOp / httpBinary.NsPerOp
+		add(qosUntagged)
+		report.Speedups["ingest_binary_vs_json"] = httpJSON.NsPerOp / httpBinary.NsPerOp
 		report.Speedups["trace_overhead"] = overhead
-		// Guarded at GOMAXPROCS=1 only (multi-proc latency picks up GC and
-		// scheduler noise), with 1µs absolute slack so a tight fractional
-		// budget on a fast baseline isn't below clock jitter.
-		if opts.maxTraceOverhead > 0 && p == 1 &&
-			httpTraced.NsPerOp > httpBinary.NsPerOp*(1+opts.maxTraceOverhead)+1000 {
-			return nil, fmt.Errorf("ingest_http_binary_traced is %.0f ns/op vs %.0f untraced (%.1f%% overhead), budget %.1f%% (GOMAXPROCS=%d)",
-				httpTraced.NsPerOp, httpBinary.NsPerOp, (overhead-1)*100, opts.maxTraceOverhead*100, p)
+		report.Speedups["qos_overhead"] = qosOverhead
+		// The absolute bound is checked on the GOMAXPROCS=1 group only:
+		// single-proc runs count exactly the handler's own allocations,
+		// while multi-proc runs also pick up background-GC noise.
+		if opts.maxBinaryAllocs > 0 && p == 1 && httpBinary.AllocsPerOp > opts.maxBinaryAllocs {
+			return nil, fmt.Errorf("ingest_http_binary allocates %.1f/op, bound %.1f (GOMAXPROCS=%d)",
+				httpBinary.AllocsPerOp, opts.maxBinaryAllocs, p)
+		}
+		// The overhead budgets are guarded at GOMAXPROCS=1 only (multi-proc
+		// latency picks up GC and scheduler noise), with 1µs absolute slack
+		// so a tight fractional budget on a fast baseline isn't below clock
+		// jitter.
+		slack := 1000 / httpBinary.NsPerOp
+		if opts.maxTraceOverhead > 0 && p == 1 && overhead > 1+opts.maxTraceOverhead+slack {
+			return nil, fmt.Errorf("ingest_http_binary_traced costs %.1f%% over untraced (median of %d rounds, %.0f vs %.0f ns/op), budget %.1f%% (GOMAXPROCS=%d)",
+				(overhead-1)*100, overheadRounds, httpTraced.NsPerOp, httpBinary.NsPerOp, opts.maxTraceOverhead*100, p)
+		}
+		if opts.maxQosOverhead > 0 && p == 1 && qosOverhead > 1+opts.maxQosOverhead+slack {
+			return nil, fmt.Errorf("ingest_http_binary_qos costs %.1f%% over the tenant-free server (median of %d rounds, %.0f vs %.0f ns/op), budget %.1f%% (GOMAXPROCS=%d)",
+				(qosOverhead-1)*100, overheadRounds, qosUntagged.NsPerOp, httpBinary.NsPerOp, opts.maxQosOverhead*100, p)
 		}
 
 		// Async pipeline: concurrent clients drive the same handler with the
@@ -763,37 +837,8 @@ func run(opts options) (*Report, error) {
 		}
 
 		// ---- qos group -----------------------------------------------------
-		// Multi-tenant admission on the binary ingest path. One server, three
-		// tenants: "acme" with a bucket generous enough to never reject (the
-		// full tagged path — header parse, registry lookup, GCRA take),
-		// "noisy" with a bucket the serial bench saturates immediately, and
-		// "quiet" with no bucket at all. qos_overhead is untagged traffic on
-		// this server vs the tenant-free server above: configuring tenants
-		// must not tax clients that never opted in.
-		qosSrv, err := server.New(server.Config{
-			Stream: ingestCfg, SelfCurves: true,
-			Tenants: []qos.TenantConfig{
-				{Name: "acme", SLO: "interactive", RatePerSec: 1e8, Burst: 1024},
-				{Name: "noisy", SLO: "besteffort", RatePerSec: 500, Burst: 32},
-				{Name: "quiet", SLO: "interactive"},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		qub := newIngestBench(qosSrv.Handler(), "b", server.ContentTypeBinary, batchDemands, 3)
-		qosUntagged := measure("ingest_http_binary_qos", minTime, func() { qub.op(true) })
-		qosUntagged.SamplesPerSec = float64(len(batchDemands)) / (qosUntagged.NsPerOp / 1e9)
-		add(qosUntagged)
-		qosOverhead := qosUntagged.NsPerOp / httpBinary.NsPerOp
-		report.Speedups["qos_overhead"] = qosOverhead
-		// Same guard shape as trace_overhead: GOMAXPROCS=1 only, 1µs
-		// absolute slack under the fractional budget.
-		if opts.maxQosOverhead > 0 && p == 1 &&
-			qosUntagged.NsPerOp > httpBinary.NsPerOp*(1+opts.maxQosOverhead)+1000 {
-			return nil, fmt.Errorf("ingest_http_binary_qos is %.0f ns/op vs %.0f without tenants (%.1f%% overhead), budget %.1f%% (GOMAXPROCS=%d)",
-				qosUntagged.NsPerOp, httpBinary.NsPerOp, (qosOverhead-1)*100, opts.maxQosOverhead*100, p)
-		}
+		// Tagged traffic on the tenant server built above (untagged traffic
+		// on it is qos_overhead, measured with the binary ingest group).
 		qtb := newIngestBench(qosSrv.Handler(), "bt", server.ContentTypeBinary, batchDemands, 3)
 		qtb.req.Header.Set("X-Wcm-Tenant", "acme")
 		qosTagged := measure("ingest_http_binary_tenant", minTime, func() { qtb.op(true) })

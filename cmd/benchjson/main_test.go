@@ -202,3 +202,34 @@ func TestParseProcs(t *testing.T) {
 		}
 	}
 }
+
+var spinSink int
+
+// TestMeasureInterleaved pins the overhead estimator: every fn's aggregate
+// covers all rounds, the reference fn's median ratio is exactly 1, and a
+// fn doing 4× the reference's work reads clearly above it.
+func TestMeasureInterleaved(t *testing.T) {
+	spin := func(n int) func() {
+		return func() {
+			x := 0
+			for i := 0; i < n; i++ {
+				x += i * i
+			}
+			spinSink = x
+		}
+	}
+	const rounds = 5
+	ms, ratios := measureInterleaved(20*time.Millisecond, rounds, []string{"ref", "heavy"},
+		spin(20_000), spin(80_000))
+	if len(ms) != 2 || ms[0].Name != "ref" || ms[1].Name != "heavy" {
+		t.Fatalf("measurements %+v", ms)
+	}
+	for _, m := range ms {
+		if m.Iterations < rounds || m.NsPerOp <= 0 {
+			t.Fatalf("%s: %d iterations at %.0f ns/op over %d rounds", m.Name, m.Iterations, m.NsPerOp, rounds)
+		}
+	}
+	if ratios[0] != 1 || ratios[1] < 2 {
+		t.Fatalf("median ratios %v, want [1, ≈4]", ratios)
+	}
+}

@@ -113,6 +113,12 @@ type Request struct {
 	// lifecycle (StartRequest/Finish).
 	Trace *trace.Active
 
+	// Settled and SettleRebuilt describe the curve settle a traced read
+	// paid for (stream samples caught up, and whether the backlog forced a
+	// rebuild), gathered while resolving so the resolve span can carry them.
+	Settled       int
+	SettleRebuilt bool
+
 	base    *slog.Logger // service logger
 	derived *slog.Logger // base.With(trace/endpoint), built on first Logger()
 }
@@ -121,6 +127,7 @@ type Request struct {
 func (r *Request) Reset(id, endpoint string, base *slog.Logger) {
 	r.ID, r.Endpoint, r.base, r.derived = id, endpoint, base, nil
 	r.Trace = nil
+	r.Settled, r.SettleRebuilt = 0, false
 }
 
 // Logger returns the request-scoped logger: the service logger with

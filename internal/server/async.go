@@ -20,9 +20,9 @@ import (
 // hot path so HTTP handlers only ENQUEUE: each registry shard owns an SPSC
 // ring of ingest jobs and one dedicated worker goroutine that drains it,
 // groups the drained jobs by stream, and applies each group through ONE
-// stream.IngestBatches call — one stream-lock acquisition and one fused
-// extrema scan for every request that arrived while the previous batch was
-// being applied (cross-request coalescing). The handler parks on a 1-slot
+// stream.IngestBatches call — one stream-lock acquisition for every request
+// that arrived while the previous batch was being applied (cross-request
+// coalescing). The handler parks on a 1-slot
 // completion channel and then renders exactly what the synchronous path
 // would have: per-job results come from IngestBatches, which reproduces
 // sequential Ingest semantics batch for batch, so responses — status,

@@ -140,7 +140,7 @@ type Config struct {
 	// IngestRing enables the async ingest pipeline: each registry shard
 	// gets an SPSC ring of this capacity (rounded up to a power of two)
 	// and a dedicated worker goroutine that drains it, coalescing batches
-	// that arrived concurrently into single fused stream updates (see
+	// that arrived concurrently into single-lock stream updates (see
 	// async.go). 0 keeps ingest synchronous — the right default for
 	// embedded uses (tests, libraries) that never call Server.Close;
 	// wcmd turns it on via -ingest-ring. Negative is invalid.
@@ -500,19 +500,29 @@ func (s *Server) getOrCreate(id string, owner *tenantState) (e *entry, created b
 // version check here — without the tombstone those samples would land in
 // an orphaned stream invisible to every later read. Such late writers
 // detect the tombstone after their mutation and re-register through
-// ensureRegistered.
+// ensureRegistered. The tombstone is stored BEFORE the final version
+// check: a writer bumps the version before it looks for the tombstone, and
+// both are sequentially consistent atomics, so either this check sees the
+// writer's mutation and backs off, or the writer sees the tombstone and
+// re-registers. (Checking first and tombstoning second let a writer slip
+// its whole mutation and tombstone check in between, losing the stream.)
 func (s *Server) dropIfEmpty(id string, e *entry) {
 	if e.st.Version() != 0 {
 		return
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if cur, ok := sh.streams[id]; ok && cur == e && cur.st.Version() == 0 {
-		e.state.Store(entryDroppedEmpty)
-		delete(sh.streams, id)
-		e.owner.releaseStream()
+	defer sh.mu.Unlock()
+	if cur, ok := sh.streams[id]; !ok || cur != e {
+		return
 	}
-	sh.mu.Unlock()
+	e.state.Store(entryDroppedEmpty)
+	if e.st.Version() != 0 {
+		e.state.Store(entryLive)
+		return
+	}
+	delete(sh.streams, id)
+	e.owner.releaseStream()
 }
 
 // ensureRegistered resolves the dropIfEmpty race for a writer that just
@@ -873,11 +883,21 @@ func writeCached(w http.ResponseWriter, resp *cachedResp) {
 // freshSnapshot takes a snapshot honoring the request deadline: when ctx
 // carries one the stream lock is only waited for until then — past it the
 // call fails with stream.ErrBusy and the caller degrades (see busyFallback).
-func freshSnapshot(ctx context.Context, e *entry) (stream.Snapshot, error) {
+// On a traced request it notes the settle the snapshot paid for, which
+// observeCacheMiss attaches to the resolve span.
+func freshSnapshot(ctx context.Context, e *entry) (snap stream.Snapshot, err error) {
 	if dl, ok := ctx.Deadline(); ok {
-		return e.st.SnapshotWithin(time.Until(dl))
+		snap, err = e.st.SnapshotWithin(time.Until(dl))
+	} else {
+		snap, err = e.st.Snapshot()
 	}
-	return e.st.Snapshot()
+	if snap.Settled > 0 {
+		if rq := obs.FromContext(ctx); rq != nil && rq.Trace != nil {
+			rq.Settled += snap.Settled
+			rq.SettleRebuilt = rq.SettleRebuilt || snap.Rebuilt
+		}
+	}
+	return snap, err
 }
 
 // snapshotFor returns a stream.Snapshot for e, reusing the cached one when
@@ -1329,8 +1349,11 @@ func (s *Server) observeCacheMiss(ctx context.Context, start time.Time) {
 	s.metrics.cacheMisses.Add(1)
 	end := time.Now()
 	s.stCacheMiss.Observe(end.Sub(start))
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.RecordAt("resolve", tr.Root(), start, end).Str("outcome", "miss")
+	if rq := obs.FromContext(ctx); rq != nil && rq.Trace != nil {
+		sp := rq.Trace.RecordAt("resolve", rq.Trace.Root(), start, end).Str("outcome", "miss")
+		if rq.Settled > 0 {
+			sp.Int("settled", int64(rq.Settled)).Str("rebuilt", strconv.FormatBool(rq.SettleRebuilt))
+		}
 	}
 }
 

@@ -665,3 +665,66 @@ func TestTraceConcurrentScrapes(t *testing.T) {
 		t.Fatalf("store bytes %d exceed limit %d", s.tracer.StoreBytes(), s.tracer.StoreLimit())
 	}
 }
+
+// TestTraceResolveSettleAttrs: a cache-miss read that settles the stream's
+// curves reports the settle on its resolve span — samples caught up, and
+// whether the backlog (a window or more) forced a rebuild — while a read
+// with nothing to settle carries no settle attributes.
+func TestTraceResolveSettleAttrs(t *testing.T) {
+	s, err := New(Config{Stream: streamCfg, TraceSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var now int64
+	ingest := func(n int) {
+		t.Helper()
+		tsv, dv := make([]int64, n), make([]int64, n)
+		for i := range tsv {
+			now += 10
+			tsv[i], dv[i] = now, int64(i%7+1)
+		}
+		code, _, raw := tracedReq(t, "POST", ts.URL+"/v1/streams/cam/ingest",
+			map[string]string{"Content-Type": ContentTypeBinary}, AppendBinaryBatch(nil, tsv, dv))
+		if code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", code, raw)
+		}
+	}
+	resolveAttrs := func(reqID string) map[string]trace.Attr {
+		t.Helper()
+		code, _, raw := tracedReq(t, "GET", ts.URL+"/v1/streams/cam/curves",
+			map[string]string{"X-Request-Id": reqID}, nil)
+		if code != http.StatusOK {
+			t.Fatalf("curves: %d %s", code, raw)
+		}
+		for _, sp := range waitTrace(t, s, reqID).Spans() {
+			if sp.Name == "resolve" {
+				attrs := map[string]trace.Attr{}
+				for _, a := range sp.Attrs[:sp.NAttr] {
+					attrs[a.Key] = a
+				}
+				return attrs
+			}
+		}
+		t.Fatalf("%s: no resolve span", reqID)
+		return nil
+	}
+
+	ingest(streamCfg.Window + 36)
+	a := resolveAttrs("settle-rebuild")
+	if a["outcome"].Str != "miss" || a["settled"].Int != int64(streamCfg.Window+36) || a["rebuilt"].Str != "true" {
+		t.Fatalf("rebuilding read: resolve attrs %+v", a)
+	}
+	ingest(3)
+	a = resolveAttrs("settle-push")
+	if a["outcome"].Str != "miss" || a["settled"].Int != 3 || a["rebuilt"].Str != "false" {
+		t.Fatalf("incremental read: resolve attrs %+v", a)
+	}
+	a = resolveAttrs("settle-none")
+	if _, ok := a["settled"]; ok || a["outcome"].Str != "hit" {
+		t.Fatalf("cache hit: resolve attrs %+v", a)
+	}
+}

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestIngestMultiprocAllocs pins the warmed ingest path at ~0 allocations
-// per batch with GOMAXPROCS=4 — the configuration where a regression hid
+// TestIngestMultiprocAllocs pins the warmed ingest-and-settle path (the
+// settle runs the anchor every 32 samples here) at ~0 allocations per batch
+// with GOMAXPROCS=4 — the configuration where a regression hid
 // for two releases: reextractLocked used to pass kernel.Options{}, whose
 // worker autosizing spawned goroutines at every anchor once GOMAXPROCS ≥ 2,
 // and the runtime's malg/allocm allocations showed up as 189 allocs/op in
@@ -32,6 +33,12 @@ func TestIngestMultiprocAllocs(t *testing.T) {
 			ds[j] = tick % 11
 		}
 		if _, err := s.Ingest(ts, ds); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		_, _, err := s.settleLocked()
+		s.mu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,11 +42,16 @@ func batchCurves(t *testing.T, ts, d []int64, window, maxK int) (up, lo, dmin, d
 
 func checkAgainstBatch(t *testing.T, s *Stream, ts, d []int64, window, maxK int) {
 	t.Helper()
-	wantUp, wantLo, wantDmin, wantDmax := batchCurves(t, ts, d, window, maxK)
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSnapshotAgainstBatch(t, snap, ts, d, window, maxK)
+}
+
+func checkSnapshotAgainstBatch(t *testing.T, snap Snapshot, ts, d []int64, window, maxK int) {
+	t.Helper()
+	wantUp, wantLo, wantDmin, wantDmax := batchCurves(t, ts, d, window, maxK)
 	effK := len(wantUp) - 1
 	if snap.Workload.Upper.MaxK() != effK {
 		t.Fatalf("workload domain %d, want %d (n=%d)", snap.Workload.Upper.MaxK(), effK, len(d))
@@ -137,6 +142,9 @@ func TestDifferentialForcedAnchors(t *testing.T) {
 	}
 }
 
+// BenchmarkIngest times ingest alone: validation and the O(batch) ring
+// copy. The curves are settled by the next read; BenchmarkIngestSettle
+// times the two together.
 func BenchmarkIngest(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const batch = 512
@@ -160,6 +168,43 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		for j := range ts {
 			ts[j] += step
+		}
+	}
+	b.ReportMetric(float64(batch), "samples/op")
+}
+
+// BenchmarkIngestSettle times the ingest-then-read cycle of a live stream:
+// a 64-sample batch into a full Window 1024 / MaxK 256 stream, then a
+// Snapshot, which settles the batch into the extrema (the scan path).
+func BenchmarkIngestSettle(b *testing.B) {
+	const window, batch = 1024, 64
+	rng := rand.New(rand.NewSource(1))
+	s, err := New(Config{Window: window, MaxK: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := make([]int64, window)
+	d := make([]int64, window)
+	var now int64
+	next := func(n int) {
+		for i := 0; i < n; i++ {
+			now += int64(rng.Intn(1000))
+			ts[i] = now
+			d[i] = int64(rng.Intn(10_000))
+		}
+		if _, err := s.Ingest(ts[:n], d[:n]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next(window)
+	if _, err := s.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next(batch)
+		if _, err := s.Snapshot(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(batch), "samples/op")

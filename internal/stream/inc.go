@@ -91,6 +91,16 @@ func NewInc(maxOff, window int) (*Inc, error) {
 	return x, nil
 }
 
+// Reset empties the extractor in place, keeping its buffers: afterwards it
+// behaves exactly like a fresh NewInc with the same parameters.
+func (x *Inc) Reset() {
+	x.total = 0
+	for i := range x.maxIdx {
+		x.maxVal[i], x.maxIdx[i] = 0, -1
+		x.minVal[i], x.minIdx[i] = 0, -1
+	}
+}
+
 // Total returns the number of data points ever pushed.
 func (x *Inc) Total() int64 { return x.total }
 

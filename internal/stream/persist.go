@@ -19,10 +19,10 @@ import (
 //     Contracts are control-plane configuration; operators re-apply them
 //     after a restart.
 //   - The Inc extrema arrays. The retained rings fully determine them:
-//     Restore rebuilds the per-offset extrema by replaying the window's
-//     prefix sums, exactly like rebuildLocked does after anchor drift, so
-//     the restored curves are value-identical without trusting redundant
-//     (and corruptible) extrema bytes.
+//     Restore rebuilds the per-offset extrema from the window with
+//     rebuildLocked, the same replay a settle uses after a long backlog,
+//     so the restored curves are value-identical without trusting
+//     redundant (and corruptible) extrema bytes.
 //   - The absolute prefix-sum base. Curves are differences of prefix sums,
 //     which are shift-invariant; Restore rebases at 0 like a post-rebase
 //     stream would.
@@ -48,7 +48,7 @@ type State struct {
 	Total   int64 // samples ever ingested
 	LastT   int64 // largest timestamp seen
 
-	SinceAnchor   int   // samples since the last re-extraction
+	SinceAnchor   int   // samples settled since the last re-extraction
 	Reextractions int64 // anchor runs performed
 	Drift         int64 // anchor disagreements
 
@@ -59,11 +59,15 @@ type State struct {
 }
 
 // ExportState captures the stream's durable state under one lock
-// acquisition. The returned slices are fresh copies — the caller may hold
-// them across later ingests.
+// acquisition. It settles first, so the anchor counters (SinceAnchor
+// included) are exact. The returned slices are fresh copies — the caller
+// may hold them across later ingests.
 func (s *Stream) ExportState() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A settle error is the anchor kernel rejecting its own sizes, which
+	// cannot happen; the rings exported below are authoritative anyway.
+	s.settleLocked() //nolint:errcheck
 	return State{
 		Window:         s.window,
 		MaxK:           s.maxK,
@@ -102,20 +106,14 @@ func Restore(cfg Config, st State) (*Stream, error) {
 	}
 	n := int64(len(st.Demands))
 	start := st.Total - n
-	var sum int64
 	for i := int64(0); i < n; i++ {
 		slot := (start + i) % int64(s.window)
 		s.demands[slot] = st.Demands[i]
 		s.times[slot] = st.Times[i]
-		sum += st.Demands[i]
-		s.pre.Push(sum)
-		if s.spi != nil {
-			s.spi.Push(st.Times[i])
-		}
 	}
-	s.prefixLast = sum
 	s.total = st.Total
 	s.lastT = st.LastT
+	s.rebuildLocked()
 	s.sinceAnchor = st.SinceAnchor
 	s.reextractions = st.Reextractions
 	s.drift = st.Drift

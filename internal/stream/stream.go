@@ -40,6 +40,11 @@ const (
 // this is invisible to every query). Variable so tests can lower it.
 var rebaseAt int64 = 1 << 61
 
+// settleChunk bounds the prefix-sum buffer a settle feeds Inc.PushBatch
+// from. The buffer lives on the settle's stack, so catching up allocates
+// nothing and keeps no per-stream scratch.
+const settleChunk = 256
+
 // Config parameterizes a Stream. The zero value picks service defaults.
 type Config struct {
 	// Window is the sliding window length in samples. Default 1024; must be
@@ -48,11 +53,14 @@ type Config struct {
 	// MaxK is the largest window length k the curves cover, capped to
 	// Window. Default min(256, Window).
 	MaxK int
-	// ReextractEvery is the number of ingested samples between full batch
-	// re-extractions via internal/kernel — the correctness anchor that
-	// cross-checks the incremental state (and the rebase point for the
-	// running prefix sum). 0 means Window (amortized O(K) extra per
-	// sample); negative disables the anchor.
+	// ReextractEvery is the anchor cadence: a full batch re-extraction via
+	// internal/kernel that cross-checks the incremental state (and rebases
+	// the running prefix sum). The curves are settled lazily on read (see
+	// Stream), and a settle runs the anchor once at least ReextractEvery
+	// samples have been applied since the last one — so the anchor always
+	// checks settled state, at read time, not at fixed sample positions.
+	// 0 means Window: every settle that rebuilds from a backlog of a full
+	// window is cross-checked. Negative disables the anchor.
 	ReextractEvery int
 }
 
@@ -84,6 +92,15 @@ func (c Config) withDefaults() Config {
 // γᵘ/γˡ and span tables d(k)/D(k), an optional contract monitor, and the
 // Network-Calculus queries of the paper evaluated against the CURRENT
 // window. All methods are safe for concurrent use.
+//
+// The curves are settled on read. Ingest only appends to the raw rings (and
+// feeds the contract monitor); the first read that needs curves — Workload,
+// Spans, Snapshot, Reextract, ExportState — catches the incremental extrema
+// up with everything ingested since the previous read. A backlog shorter
+// than the window is pushed incrementally; a backlog of a window or more
+// rebuilds the extrema from the retained window, because every window they
+// were last computed over has slid out. Answers are the same either way,
+// and a settle does not move Version.
 type Stream struct {
 	mu     sync.Mutex
 	window int
@@ -111,7 +128,8 @@ type Stream struct {
 	total   int64   // samples ever ingested
 	lastT   int64   // largest timestamp seen
 
-	prefixLast int64 // running demand prefix sum (rebasable)
+	settled    int64 // samples applied to pre/spi; settled ≤ total
+	prefixLast int64 // demand prefix sum at sample `settled` (rebasable)
 	pre        *Inc  // over prefix sums: offsets 1..maxK
 	spi        *Inc  // over timestamps: offsets 1..maxK−1 (nil when maxK == 1)
 
@@ -119,15 +137,13 @@ type Stream struct {
 	firstViol  *core.Violation // first contract violation ever seen
 	violations int64           // total contract violations
 
-	sinceAnchor   int   // samples since the last re-extraction
+	sinceAnchor   int   // samples settled since the last re-extraction
 	reextractions int64 // anchor runs performed
 	drift         int64 // anchor runs that disagreed with the incremental state
 
-	// Scratch buffers so ingest and re-extraction allocate nothing in
+	// Scratch buffers so Observe and the anchor allocate nothing in
 	// steady state.
 	obsT, obsD  [1]int64 // Observe's single-sample batch
-	scratchPre  []int64  // per-chunk prefix sums fed to pre.PushBatch
-	scratchTs   []int64  // per-chunk fused timestamps (IngestBatches)
 	scratchData []int64
 	scratchUp   []int64
 	scratchLo   []int64
@@ -176,48 +192,47 @@ type IngestResult struct {
 	Version    int64           // stream version after this batch's bump
 	Violation  *core.Violation // first contract violation IN THIS BATCH, if any
 	Violations int64           // cumulative contract violations
-	Drift      int64           // cumulative anchor disagreements (expect 0)
+	// Drift counts anchor disagreements (expect 0) as of the last settle:
+	// ingest does not run the anchor, so this batch is not yet checked.
+	Drift int64
 }
 
 // Ingest appends a batch of samples: timestamps (non-decreasing, not before
 // anything already ingested) with their per-activation cycle demands
 // (non-negative). Validation is all-or-nothing: a bad batch changes no
-// state. The incremental update is expected amortized O(MaxK) per sample,
-// applied in chunks via Inc.PushBatch so the per-offset extrema are walked
-// once per batch, not once per sample.
+// state. Ingest is an O(batch) copy into the raw rings plus the contract
+// monitor; the curves catch up on the next read (see Stream).
 func (s *Stream) Ingest(ts, demands []int64) (IngestResult, error) {
-	if len(ts) == 0 || len(ts) != len(demands) {
-		return IngestResult{}, fmt.Errorf("%w: %d timestamps, %d demands",
-			ErrBadBatch, len(ts), len(demands))
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := validateBatch(ts, demands, s.lastT); err != nil {
+	if err := validateBatch(ts, demands, s.lastT); err != nil {
 		return IngestResult{}, err
 	}
 	return s.ingestLocked(ts, demands)
 }
 
-// validateBatch checks one pre-sized batch against the stream's ordering and
+// validateBatch checks one batch against the stream's shape, ordering and
 // sign invariants, starting from `last` (the newest timestamp already
-// accepted). On success it returns the batch's final timestamp, so runs of
-// batches can be validated back to back without touching stream state. It is
-// the single source of truth for ingest validation — Ingest and
-// IngestBatches must reject exactly the same batches with exactly the same
-// errors for the async pipeline to be response-identical to the sync path.
-func validateBatch(ts, demands []int64, last int64) (int64, error) {
+// accepted). It is the single source of truth for ingest validation —
+// Ingest and IngestBatches must reject exactly the same batches with
+// exactly the same errors for the async pipeline to be response-identical
+// to the sync path.
+func validateBatch(ts, demands []int64, last int64) error {
+	if len(ts) == 0 || len(ts) != len(demands) {
+		return fmt.Errorf("%w: %d timestamps, %d demands", ErrBadBatch, len(ts), len(demands))
+	}
 	for i := range ts {
 		if ts[i] < last {
-			return 0, fmt.Errorf("%w: timestamp %d at index %d precedes %d",
+			return fmt.Errorf("%w: timestamp %d at index %d precedes %d",
 				ErrBadBatch, ts[i], i, last)
 		}
 		last = ts[i]
 		if demands[i] < 0 {
-			return 0, fmt.Errorf("%w: negative demand %d at index %d",
+			return fmt.Errorf("%w: negative demand %d at index %d",
 				ErrBadBatch, demands[i], i)
 		}
 	}
-	return last, nil
+	return nil
 }
 
 // Observe ingests a single sample with a caller-supplied clock reading,
@@ -245,7 +260,8 @@ func (s *Stream) Observe(t, demand int64) (IngestResult, error) {
 }
 
 // ingestLocked applies a pre-validated batch: timestamps non-decreasing
-// and ≥ lastT, demands non-negative, len(ts) == len(demands) ≥ 1.
+// and ≥ lastT, demands non-negative, len(ts) == len(demands) ≥ 1. It writes
+// the raw rings and feeds the monitor; pre/spi stay behind until a settle.
 func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	// Validation passed, so state WILL change. The deferred bump runs
 	// before the caller's unlock (LIFO), so it also covers error exits
@@ -254,59 +270,31 @@ func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	defer s.bumpLocked()
 
 	res := IngestResult{Accepted: len(ts)}
-	w64 := int64(s.window)
-	for off := 0; off < len(ts); {
-		// Chunk up to the next anchor point so re-extractions land at
-		// exactly the same sample positions as the per-sample path did.
-		n := len(ts) - off
-		if s.reint > 0 {
-			if to := s.reint - s.sinceAnchor; to < n {
-				n = to
+	// Only the newest window samples of the batch survive in the rings.
+	skip := max(len(ts)-s.window, 0)
+	slot := int((s.total + int64(skip)) % int64(s.window))
+	n := copy(s.demands[slot:], demands[skip:])
+	copy(s.times[slot:], ts[skip:skip+n])
+	copy(s.demands, demands[skip+n:])
+	copy(s.times, ts[skip+n:])
+	s.total += int64(len(ts))
+	s.lastT = ts[len(ts)-1]
+	if s.monitor != nil {
+		for _, d := range demands {
+			v, err := s.monitor.Push(d)
+			if err != nil {
+				return IngestResult{}, err
 			}
-		}
-		tsc, dc := ts[off:off+n], demands[off:off+n]
-		s.scratchPre = s.scratchPre[:0]
-		p := s.prefixLast
-		for i := 0; i < n; i++ {
-			slot := (s.total + int64(i)) % w64
-			s.demands[slot] = dc[i]
-			s.times[slot] = tsc[i]
-			p += dc[i]
-			s.scratchPre = append(s.scratchPre, p)
-		}
-		s.total += int64(n)
-		s.lastT = tsc[n-1]
-		s.prefixLast = p
-		s.pre.PushBatch(s.scratchPre)
-		if s.spi != nil {
-			s.spi.PushBatch(tsc)
-		}
-		if s.monitor != nil {
-			for i := 0; i < n; i++ {
-				v, err := s.monitor.Push(dc[i])
-				if err != nil {
-					return IngestResult{}, err
+			if v != nil {
+				s.violations++
+				if s.firstViol == nil {
+					s.firstViol = v
 				}
-				if v != nil {
-					s.violations++
-					if s.firstViol == nil {
-						s.firstViol = v
-					}
-					if res.Violation == nil {
-						res.Violation = v
-					}
+				if res.Violation == nil {
+					res.Violation = v
 				}
 			}
 		}
-		if s.reint > 0 {
-			s.sinceAnchor += n
-			if s.sinceAnchor >= s.reint {
-				if err := s.reextractLocked(); err != nil {
-					return IngestResult{}, err
-				}
-			}
-		}
-		off += n
 	}
 	res.Total = s.total
 	// The deferred bump has not run yet (LIFO at return), so the version
@@ -331,197 +319,31 @@ type BatchResult struct {
 	Err error
 }
 
-// IngestBatches ingests a sequence of batches under ONE lock acquisition,
-// fusing runs of consecutive valid batches into shared Inc.PushBatch scans —
+// IngestBatches ingests a sequence of batches under ONE lock acquisition —
 // the cross-request coalescing behind the async ingest pipeline. Results are
 // written into the caller-supplied results slice (len(results) must equal
 // len(batches); both are typically reused worker scratch, so steady-state
 // ingest stays allocation-free).
 //
-// Per batch, the outcome is EXACTLY what a sequential Ingest call would have
-// produced: an invalid batch records its validation error, changes no state,
-// and does not break later batches (they validate against the timestamps
-// actually accepted so far); a valid batch records the same counts, total,
-// violation attribution, and one version bump. Fusion never moves anchor
-// re-extractions — chunks still split at the same absolute sample positions
-// — so incremental state, drift accounting, and rebase timing are
-// bit-identical to the sequential path (Inc.PushBatch is split-invariant).
-//
-// The one knowing divergence: if the batch kernel or the contract monitor
-// errors mid-run (unreachable after validation — see applyRunLocked), a
-// fused run may have applied more of the failing and following batches'
-// samples than sequential ingest would have before reporting the error.
+// Each batch goes through exactly the validation and apply that Ingest
+// uses, in order, so per batch the outcome is EXACTLY what a sequential
+// Ingest call would have produced: an invalid batch records its validation
+// error, changes no state, and does not break later batches; a valid batch
+// records the same counts, total, violation attribution, and one version
+// bump.
 func (s *Stream) IngestBatches(batches []Batch, results []BatchResult) {
 	if len(batches) != len(results) {
 		panic(fmt.Sprintf("stream: IngestBatches with %d batches, %d results", len(batches), len(results)))
 	}
-	if len(batches) == 0 {
-		return
-	}
-	for i := range results {
-		results[i] = BatchResult{} // results are reused scratch: clear stale state
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := 0
-	for i < len(batches) {
-		b := batches[i]
-		if len(b.Ts) == 0 || len(b.Ts) != len(b.Demands) {
-			results[i] = BatchResult{Err: fmt.Errorf("%w: %d timestamps, %d demands",
-				ErrBadBatch, len(b.Ts), len(b.Demands))}
-			i++
-			continue
-		}
-		last, err := validateBatch(b.Ts, b.Demands, s.lastT)
-		if err != nil {
+	for i, b := range batches {
+		if err := validateBatch(b.Ts, b.Demands, s.lastT); err != nil {
 			results[i] = BatchResult{Err: err}
-			i++
 			continue
 		}
-		// Extend the run through every consecutive batch that stays valid
-		// against the timestamps the run will have accepted by then.
-		j := i + 1
-		for j < len(batches) {
-			nb := batches[j]
-			if len(nb.Ts) == 0 || len(nb.Ts) != len(nb.Demands) {
-				break
-			}
-			nlast, err := validateBatch(nb.Ts, nb.Demands, last)
-			if err != nil {
-				break
-			}
-			last = nlast
-			j++
-		}
-		s.applyRunLocked(batches[i:j], results[i:j])
-		i = j
-	}
-}
-
-// applyRunLocked applies a pre-validated run of batches as one fused sample
-// sequence. Chunks split only at anchor boundaries (never at batch
-// boundaries), so a single Inc scan pass serves every request in the run;
-// per-batch results are recorded as the walk crosses each batch's last
-// sample, reproducing sequential attribution of totals, violations, and
-// drift. Anchor rule: a batch ending exactly on an anchor position records
-// its result AFTER that anchor runs (sequentially the anchor fires inside
-// that batch's ingest); a batch ending mid-chunk records before it.
-func (s *Stream) applyRunLocked(run []Batch, results []BatchResult) {
-	w64 := int64(s.window)
-	base := s.total // flat positions below are relative to this
-	remaining := 0
-	for _, b := range run {
-		remaining += len(b.Ts)
-	}
-	bi, off := 0, 0    // walk cursor: next sample is run[bi].Ts[off]
-	rec := 0           // batches 0..rec-1 have recorded results
-	flat := int64(0)   // samples of the run recorded so far
-	record := func() { // record run[rec], which just ended, and bump
-		flat += int64(len(run[rec].Ts))
-		results[rec] = BatchResult{Res: IngestResult{
-			Accepted:   len(run[rec].Ts),
-			Total:      base + flat,
-			Version:    s.version.Load() + 1, // matches the bump just below
-			Violation:  results[rec].Res.Violation,
-			Violations: s.violations,
-			Drift:      s.drift,
-		}}
-		s.bumpLocked()
-		rec++
-	}
-	fail := func(err error) { // unreachable in practice; see IngestBatches
-		for ; rec < len(run); rec++ {
-			results[rec] = BatchResult{Err: err}
-			s.bumpLocked()
-		}
-	}
-	for remaining > 0 {
-		n := remaining
-		if s.reint > 0 {
-			if to := s.reint - s.sinceAnchor; to < n {
-				n = to
-			}
-		}
-		// Gather the chunk across batch boundaries: rings, fused prefix
-		// sums, fused timestamps.
-		s.scratchPre = s.scratchPre[:0]
-		s.scratchTs = s.scratchTs[:0]
-		p := s.prefixLast
-		gbi, goff := bi, off
-		for taken := 0; taken < n; {
-			b := run[gbi]
-			take := len(b.Ts) - goff
-			if take > n-taken {
-				take = n - taken
-			}
-			for x := 0; x < take; x++ {
-				slot := (s.total + int64(taken+x)) % w64
-				s.demands[slot] = b.Demands[goff+x]
-				s.times[slot] = b.Ts[goff+x]
-				p += b.Demands[goff+x]
-				s.scratchPre = append(s.scratchPre, p)
-			}
-			s.scratchTs = append(s.scratchTs, b.Ts[goff:goff+take]...)
-			taken += take
-			goff += take
-			if goff == len(b.Ts) {
-				gbi++
-				goff = 0
-			}
-		}
-		s.total += int64(n)
-		s.lastT = s.scratchTs[n-1]
-		s.prefixLast = p
-		s.pre.PushBatch(s.scratchPre)
-		if s.spi != nil {
-			s.spi.PushBatch(s.scratchTs)
-		}
-		remaining -= n
-		// Walk the chunk's samples for monitor checks and batch-boundary
-		// crossings. endsAtChunk notes a batch whose last sample is the
-		// chunk's last sample: it records after the anchor below.
-		endsAtChunk := false
-		for t := 0; t < n; t++ {
-			b := run[bi]
-			if s.monitor != nil {
-				v, err := s.monitor.Push(b.Demands[off])
-				if err != nil {
-					fail(err)
-					return
-				}
-				if v != nil {
-					s.violations++
-					if s.firstViol == nil {
-						s.firstViol = v
-					}
-					if results[bi].Res.Violation == nil {
-						results[bi].Res.Violation = v
-					}
-				}
-			}
-			off++
-			if off == len(b.Ts) {
-				if t == n-1 {
-					endsAtChunk = true
-				} else {
-					record()
-				}
-				bi++
-				off = 0
-			}
-		}
-		if s.reint > 0 {
-			s.sinceAnchor += n
-			if s.sinceAnchor >= s.reint {
-				if err := s.reextractLocked(); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}
-		if endsAtChunk {
-			record()
-		}
+		res, err := s.ingestLocked(b.Ts, b.Demands)
+		results[i] = BatchResult{Res: res, Err: err}
 	}
 }
 
@@ -597,7 +419,8 @@ func (s *Stream) orderedLocked(dst, ring []int64) []int64 {
 }
 
 // reextractLocked runs the batch kernel over the current window contents and
-// compares bit for bit with the incremental state — the correctness anchor.
+// compares bit for bit with the settled incremental state — the correctness
+// anchor. Callers settle first.
 // Disagreement increments the drift counter and rebuilds the incremental
 // state from the window (the anchor wins). Also rebases the running prefix
 // sum when it approaches the int64 horizon.
@@ -624,10 +447,10 @@ func (s *Stream) reextractLocked() error {
 	// Workers: 1 — the anchor runs under the stream mutex, and the kernel's
 	// pool (its default at this window·K size) would spawn GOMAXPROCS
 	// goroutines per anchor while holding it: scheduler allocations (malg/
-	// allocm) on the ingest hot path — the 4-proc "0 → 189 allocs/op"
+	// allocm) under the stream lock — the 4-proc "0 → 189 allocs/op"
 	// regression — plus worker fan-out behind the most contended lock in
 	// the service. Single-threaded extraction here is also what keeps each
-	// registry shard's ingest goroutine independent of the others.
+	// registry shard's goroutine independent of the others.
 	if err := kernel.ExtractInto(s.scratchData, effK, kernel.Options{Workers: 1}, s.scratchUp, s.scratchLo); err != nil {
 		return err
 	}
@@ -660,27 +483,74 @@ func (s *Stream) reextractLocked() error {
 	return nil
 }
 
-// rebuildLocked reconstructs the incremental state from the retained raw
-// samples — the recovery path should the anchor ever disagree.
+// settleLocked catches pre/spi up with every sample ingested since the last
+// settle, then runs the anchor if at least ReextractEvery samples have been
+// applied since the previous one. It reports how many samples it settled
+// and whether it rebuilt from the window instead of pushing incrementally.
+func (s *Stream) settleLocked() (settled int, rebuilt bool, err error) {
+	settled, rebuilt = s.catchUpLocked()
+	if s.reint > 0 && s.sinceAnchor >= s.reint {
+		err = s.reextractLocked()
+	}
+	return settled, rebuilt, err
+}
+
+// catchUpLocked applies the unsettled backlog to pre/spi and charges it to
+// the anchor cadence. A backlog of a window or more has overwritten every
+// sample the extrema were last computed from, so it rebuilds.
+func (s *Stream) catchUpLocked() (settled int, rebuilt bool) {
+	backlog := s.total - s.settled
+	if backlog == 0 {
+		return 0, false
+	}
+	if backlog >= int64(s.window) {
+		s.rebuildLocked()
+		rebuilt = true
+	} else {
+		s.pushLocked()
+	}
+	if s.reint > 0 {
+		s.sinceAnchor += int(backlog)
+	}
+	return int(backlog), rebuilt
+}
+
+// rebuildLocked resets pre/spi in place and replays the retained window
+// into them — the settle path for a long backlog, the recovery path should
+// the anchor ever disagree, and Restore's way back from a State.
 func (s *Stream) rebuildLocked() {
-	n := s.inWindowLocked()
-	pre, _ := NewInc(s.maxK, s.window+1)
-	pre.Push(0)
-	var spi *Inc
-	if s.maxK >= 2 {
-		spi, _ = NewInc(s.maxK-1, s.window)
+	s.pre.Reset()
+	s.pre.Push(0) // prefix-sum base point
+	if s.spi != nil {
+		s.spi.Reset()
 	}
-	start := s.total - int64(n)
-	var sum int64
-	for i := int64(0); i < int64(n); i++ {
-		slot := (start + i) % int64(s.window)
-		sum += s.demands[slot]
-		pre.Push(sum)
-		if spi != nil {
-			spi.Push(s.times[slot])
+	s.prefixLast = 0
+	s.settled = s.total - int64(s.inWindowLocked())
+	s.pushLocked()
+}
+
+// pushLocked feeds the unsettled samples settled..total−1, all still in the
+// rings, to pre (as running prefix sums, through a fixed stack buffer) and
+// spi (timestamps, straight from the ring) in ring-contiguous chunks.
+func (s *Stream) pushLocked() {
+	var buf [settleChunk]int64
+	w := int64(s.window)
+	p := s.prefixLast
+	for i := s.settled; i < s.total; {
+		slot := i % w
+		n := min(s.total-i, w-slot, settleChunk)
+		for j, d := range s.demands[slot : slot+n] {
+			p += d
+			buf[j] = p
 		}
+		s.pre.PushBatch(buf[:n])
+		if s.spi != nil {
+			s.spi.PushBatch(s.times[slot : slot+n])
+		}
+		i += n
 	}
-	s.pre, s.spi, s.prefixLast = pre, spi, sum
+	s.prefixLast = p
+	s.settled = s.total
 }
 
 func grow(b []int64, n int) []int64 {
@@ -707,6 +577,9 @@ func equal(a, b []int64) bool {
 func (s *Stream) Workload() (core.Workload, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, _, err := s.settleLocked(); err != nil {
+		return core.Workload{}, err
+	}
 	return s.workloadLocked()
 }
 
@@ -731,6 +604,9 @@ func (s *Stream) workloadLocked() (core.Workload, error) {
 func (s *Stream) Spans() (arrival.Spans, arrival.MaxSpans, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, _, err := s.settleLocked(); err != nil {
+		return nil, nil, err
+	}
 	return s.spansLocked()
 }
 
@@ -773,9 +649,15 @@ type Snapshot struct {
 	Workload core.Workload
 	Spans    arrival.Spans
 	MaxSpans arrival.MaxSpans
+
+	// The settle this capture paid for: samples caught up since the
+	// previous read, and whether that backlog forced a rebuild from the
+	// window (see Stream). Zero when the curves were already current.
+	Settled int
+	Rebuilt bool
 }
 
-// Snapshot captures curves and spans atomically.
+// Snapshot captures curves and spans atomically, settling them first.
 func (s *Stream) Snapshot() (Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -834,6 +716,10 @@ func (s *Stream) HoldLock(d time.Duration) {
 }
 
 func (s *Stream) snapshotLocked() (Snapshot, error) {
+	settled, rebuilt, err := s.settleLocked()
+	if err != nil {
+		return Snapshot{}, err
+	}
 	w, err := s.workloadLocked()
 	if err != nil {
 		return Snapshot{}, err
@@ -849,6 +735,8 @@ func (s *Stream) snapshotLocked() (Snapshot, error) {
 		Workload: w,
 		Spans:    spans,
 		MaxSpans: maxs,
+		Settled:  settled,
+		Rebuilt:  rebuilt,
 	}, nil
 }
 
@@ -902,7 +790,9 @@ func (s *Stream) CheckService(freqHz float64, latencyNs int64, b int) (bool, err
 	return snap.CheckService(freqHz, latencyNs, b)
 }
 
-// Stats is the stream's observability surface.
+// Stats is the stream's observability surface. Reading it does not settle
+// the curves, so the anchor counters are as of the last settle (the last
+// read that needed curves); Total and the contract fields are current.
 type Stats struct {
 	Version        int64           // mutation counter at capture time
 	Total          int64           // samples ever ingested
@@ -910,8 +800,8 @@ type Stats struct {
 	Window         int             // configured sliding window
 	MaxK           int             // configured curve domain
 	LastTimestamp  int64           // largest timestamp ingested
-	Reextractions  int64           // anchor re-extractions run
-	Drift          int64           // anchor disagreements (expect 0)
+	Reextractions  int64           // anchor re-extractions run, as of the last settle
+	Drift          int64           // anchor disagreements (expect 0), as of the last settle
 	ContractSet    bool            // a monitor is installed
 	Violations     int64           // contract violations observed
 	FirstViolation *core.Violation // earliest contract violation, if any
@@ -951,8 +841,9 @@ func (s *Stream) StatsWithin(d time.Duration) (Stats, error) {
 	return s.statsLocked(), nil
 }
 
-// Reextract forces an anchor re-extraction now (normally they run every
-// Config.ReextractEvery samples) and reports the cumulative drift count.
+// Reextract settles the curves and forces an anchor re-extraction now
+// (normally settles run one every Config.ReextractEvery samples) and
+// reports the cumulative drift count.
 func (s *Stream) Reextract() (drift int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -960,6 +851,7 @@ func (s *Stream) Reextract() (drift int64, err error) {
 		return 0, nil
 	}
 	defer s.bumpLocked() // counters (and possibly state) change
+	s.catchUpLocked()
 	if err := s.reextractLocked(); err != nil {
 		return 0, err
 	}

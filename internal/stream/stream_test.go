@@ -317,8 +317,17 @@ func TestRebase(t *testing.T) {
 		ts[i] = int64(i) * 10
 		d[i] = int64(100 + i%7)
 	}
-	if _, err := s.Ingest(ts, d); err != nil {
-		t.Fatal(err)
+	// Short batches settled one by one keep the running prefix sum growing
+	// incrementally (a long backlog would rebuild at the window sum instead),
+	// so the anchor has to rebase it.
+	for i := 0; i < len(ts); i += 3 {
+		j := min(i+3, len(ts))
+		if _, err := s.Ingest(ts[i:j], d[i:j]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Workload(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.mu.Lock()
 	pl := s.prefixLast
@@ -357,6 +366,11 @@ func TestRebuildRecoversFromCorruption(t *testing.T) {
 		d[i] = int64(10 * (i%3 + 1))
 	}
 	if _, err := s.Ingest(ts, d); err != nil {
+		t.Fatal(err)
+	}
+	// Settle first: corruption of unsettled state would be overwritten by
+	// the settle's rebuild before the anchor could see it.
+	if _, err := s.Workload(); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the incremental state behind the anchor's back.

@@ -510,9 +510,10 @@ func ConvolveService(a, b PWLCurve) PWLCurve { return pwl.Convolve(a, b) }
 // ---- Streaming curve maintenance and the wcmd service ---------------------
 
 // CurveStream maintains (γᵘ, γˡ) and the span tables d(k)/D(k)
-// incrementally over a sliding window of demand samples — amortized
-// O(MaxK) per sample instead of a full re-extraction — with a periodic
-// batch re-extraction as correctness anchor. Safe for concurrent use.
+// incrementally over a sliding window of demand samples: ingest appends
+// in O(batch), and the next read catches the curves up instead of running
+// a full re-extraction, with a periodic batch re-extraction as correctness
+// anchor. Safe for concurrent use.
 type CurveStream = stream.Stream
 
 // CurveStreamConfig parameterizes a CurveStream (window, curve domain,
