@@ -143,8 +143,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		"log requests slower than this at Warn (negative disables)")
 	selfCurves := fs.Bool("self-curves", false,
 		"characterize the server's own request costs and serve them at /debug/self")
-	noQueryCache := fs.Bool("no-query-cache", false,
-		"disable the version-keyed query cache; every read recomputes and re-renders (debugging aid)")
 	readTimeout := fs.Duration("read-timeout", defaultReadTimeout,
 		"max duration for reading an entire request including the body (0 disables)")
 	writeTimeout := fs.Duration("write-timeout", defaultWriteTimeout,
@@ -158,9 +156,7 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 	maxInflightRead := fs.Int("max-inflight-read", server.DefaultMaxInflightRead,
 		"max concurrently executing read requests before degrading/shedding (negative disables)")
 	ingestRing := fs.Int("ingest-ring", 1024,
-		"per-shard async ingest queue capacity; concurrent batches coalesce into fused stream updates (0 = synchronous ingest)")
-	coalesce := fs.Int("coalesce", server.DefaultCoalesceBudget,
-		"max queued ingest batches fused per pipeline worker wakeup")
+		"per-shard async ingest queue capacity; concurrent batches coalesce into fused stream updates (0 = each request applies and commits inline)")
 	traceSample := fs.Int("trace-sample", server.DefaultTraceSample,
 		"keep 1 in N ordinary request traces (anomalous ones are always kept) in the /debug/traces store; 0 disables tracing")
 	traceStore := fs.Int64("trace-store", 0,
@@ -168,7 +164,7 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 	dataDir := fs.String("data-dir", "",
 		"directory for the write-ahead log and snapshots; empty = in-memory only (no durability)")
 	fsyncMode := fs.String("fsync", "batch",
-		`WAL durability policy: "always" (fsync per coalesced group), "batch" (one fsync per worker wakeup), "none"`)
+		`WAL durability policy: "batch" (fsync before the ack, one per worker wakeup or inline request) or "none" (never fsync on ingest)`)
 	walSegment := fs.Int64("wal-segment", wal.DefaultSegmentBytes,
 		"WAL segment rotation size in bytes")
 	snapshotInterval := fs.Duration("snapshot-interval", time.Minute,
@@ -226,12 +222,10 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		Logger:            logger,
 		SlowRequest:       *slowReq,
 		SelfCurves:        *selfCurves,
-		DisableQueryCache: *noQueryCache,
 		RequestTimeout:    *requestTimeout,
 		MaxInflightIngest: *maxInflightIngest,
 		MaxInflightRead:   *maxInflightRead,
 		IngestRing:        *ingestRing,
-		CoalesceBudget:    *coalesce,
 		TraceSample:       *traceSample,
 		TraceStoreBytes:   *traceStore,
 		SnapshotInterval:  *snapshotInterval,

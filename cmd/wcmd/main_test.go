@@ -65,8 +65,10 @@ func TestParseFlags(t *testing.T) {
 		cfg.MaxInflightRead != server.DefaultMaxInflightRead {
 		t.Fatalf("in-flight defaults = %d/%d", cfg.MaxInflightIngest, cfg.MaxInflightRead)
 	}
-	if cfg.IngestRing != 1024 || cfg.CoalesceBudget != server.DefaultCoalesceBudget {
-		t.Fatalf("pipeline defaults = %d/%d", cfg.IngestRing, cfg.CoalesceBudget)
+	// CoalesceBudget 0 resolves to server.DefaultCoalesceBudget in New.
+	if cfg.IngestRing != 1024 || cfg.CoalesceBudget != 0 || cfg.DisableQueryCache {
+		t.Fatalf("pipeline defaults = %d/%d, query cache off = %v",
+			cfg.IngestRing, cfg.CoalesceBudget, cfg.DisableQueryCache)
 	}
 	if cfg.Faults != nil {
 		t.Fatalf("faults configured by default: %v", cfg.Faults)
@@ -74,12 +76,17 @@ func TestParseFlags(t *testing.T) {
 	if _, _, err := parseFlags([]string{"-window", "notanumber"}); err == nil {
 		t.Fatal("bad flag value accepted")
 	}
-	cfg, _, err = parseFlags([]string{"-ingest-ring", "0", "-coalesce", "7"})
+	cfg, _, err = parseFlags([]string{"-ingest-ring", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.IngestRing != 0 || cfg.CoalesceBudget != 7 {
-		t.Fatalf("pipeline flags = %d/%d", cfg.IngestRing, cfg.CoalesceBudget)
+	if cfg.IngestRing != 0 {
+		t.Fatalf("-ingest-ring 0 = %d", cfg.IngestRing)
+	}
+	for _, gone := range [][]string{{"-coalesce", "7"}, {"-no-query-cache"}} {
+		if _, _, err := parseFlags(gone); err == nil {
+			t.Fatalf("removed flag %s accepted", gone[0])
+		}
 	}
 }
 
@@ -327,13 +334,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 
 func TestParseFlagsDurability(t *testing.T) {
 	cfg, opts, err := parseFlags([]string{
-		"-data-dir", "/tmp/wcmd-data", "-fsync", "always",
+		"-data-dir", "/tmp/wcmd-data", "-fsync", "none",
 		"-wal-segment", "65536", "-snapshot-interval", "30s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.dataDir != "/tmp/wcmd-data" || opts.fsync != wal.PolicyAlways || opts.walSegment != 65536 {
+	if opts.dataDir != "/tmp/wcmd-data" || opts.fsync != wal.PolicyNone || opts.walSegment != 65536 {
 		t.Fatalf("durability opts = %+v", opts)
 	}
 	if cfg.SnapshotInterval != 30*time.Second {
@@ -341,6 +348,11 @@ func TestParseFlagsDurability(t *testing.T) {
 	}
 	if _, _, err := parseFlags([]string{"-fsync", "sometimes"}); err == nil {
 		t.Fatal("bad -fsync accepted")
+	}
+	// "always" was folded into the default "batch".
+	if _, _, err := parseFlags([]string{"-fsync", "always"}); err == nil ||
+		!strings.Contains(err.Error(), `want "batch" or "none"`) {
+		t.Fatalf(`-fsync always: err = %v, want one listing the valid values`, err)
 	}
 	cfg, opts, err = parseFlags(nil)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 // Log-after-apply, before-ack: an ingest batch is applied to the in-memory
 // stream first (the apply can still reject it — nothing invalid reaches the
 // log), then appended to the shard's WAL tagged with the stream version the
-// apply produced, then made durable per the fsync policy, and only then
-// acknowledged. A crash loses at most batches that were never acked.
+// apply produced, then made durable by the one commit of its unit of work
+// (see commitUnit), and only then acknowledged. A crash loses at most
+// batches that were never acked.
 //
 // Ordering against DELETE: ingest records are appended under the registry
 // shard's read lock after re-checking the entry is not tombstoned deleted;
@@ -133,53 +135,35 @@ func (s *Server) recoverStream(sr wal.StreamRecovery) (*stream.Stream, error) {
 	return st, nil
 }
 
-// walLogSync is the synchronous ingest tail's durability step: append the
-// applied batch and commit under the fsync policy, before the handler
-// acknowledges. The append re-checks the DELETE tombstone under the shard
-// read lock (see the file comment); a batch that lost that race is simply
-// not logged — the stream it mutated is already unreachable.
-func (s *Server) walLogSync(id string, e *entry, res stream.IngestResult, ts, ds []int64) error {
-	idx := s.shardIndex(id)
-	l := s.walShards[idx]
-	sh := s.shards[idx]
-	sh.mu.RLock()
-	var err error
-	if e.state.Load() != entryDeleted {
-		err = l.AppendIngest(id, res.Version, ts, ds)
-	}
-	sh.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return l.Commit()
-}
-
-// walLogGroup appends one coalesced group's successful batches, all under a
-// single shard-read-lock acquisition and — via AppendIngestGroup — a single
-// encode-and-write. An append failure marks every still-successful job of
-// the group failed (500): the write is all-or-nothing from the group's
+// walLogGroup appends one stream group's successful batches to shard idx's
+// WAL, all under a single shard-read-lock acquisition and — via
+// AppendIngestGroup — a single encode-and-write. The append re-checks the
+// DELETE tombstone under that lock (see the file comment); a group that
+// lost that race is simply not logged — the stream it mutated is already
+// unreachable. An append failure marks every still-successful job of the
+// group failed (500): the write is all-or-nothing from the group's
 // perspective (a partial write is a torn tail recovery refuses to trust),
 // and an applied-but-unlogged batch must not be acknowledged. Failures are
 // logged per job through the originating request's logger (trace_id
 // attached); traced jobs get a wal_append span covering the group write.
-func (s *Server) walLogGroup(p *ingestPipe, e *entry, group []*ingestJob, traced bool) {
-	l := s.walShards[p.idx]
-	sh := s.shards[p.idx]
-	p.recs = p.recs[:0]
+func (s *Server) walLogGroup(g *groupScratch, idx int, e *entry, group []*ingestJob, traced bool) {
+	l := s.walShards[idx]
+	sh := s.shards[idx]
+	g.recs = g.recs[:0]
 	sh.mu.RLock()
 	if e.state.Load() != entryDeleted {
 		for _, job := range group {
 			if job.err == nil {
-				p.recs = append(p.recs, wal.IngestRec{
+				g.recs = append(g.recs, wal.IngestRec{
 					ID: job.id, Version: job.res.Version, Ts: job.ts, Ds: job.ds})
 			}
 		}
-		if len(p.recs) > 0 {
+		if len(g.recs) > 0 {
 			var t0 time.Time
 			if traced {
 				t0 = time.Now()
 			}
-			err := l.AppendIngestGroup(p.recs)
+			err := l.AppendIngestGroup(g.recs)
 			if traced {
 				t1 := time.Now()
 				for _, job := range group {
@@ -194,33 +178,16 @@ func (s *Server) walLogGroup(p *ingestPipe, e *entry, group []*ingestJob, traced
 						job.logger(s.logger).LogAttrs(context.Background(), slog.LevelError,
 							"wal append failed", slog.String("error", err.Error()))
 						job.err = fmt.Errorf("wal append failed: %w", err)
-						job.errCode = 500
+						job.errCode = http.StatusInternalServerError
 					}
 				}
 			}
 		}
 	}
 	sh.mu.RUnlock()
-	// Drop the aliased job buffers: recs is worker-owned scratch that
-	// outlives the drain, the ts/ds columns belong to handler pools.
-	for i := range p.recs {
-		p.recs[i] = wal.IngestRec{}
-	}
-	p.recs = p.recs[:0]
-}
-
-// failPending marks every still-pending job of a wakeup failed after a
-// group-commit fsync error, logging each through its request's logger so
-// the lines carry the originating trace IDs.
-func (s *Server) failPending(pending []*ingestJob, err error) {
-	for _, job := range pending {
-		if job.err == nil {
-			job.logger(s.logger).LogAttrs(context.Background(), slog.LevelError,
-				"wal commit failed", slog.String("error", err.Error()))
-			job.err = fmt.Errorf("wal commit failed: %w", err)
-			job.errCode = 500
-		}
-	}
+	// Drop the aliased job buffers: recs is scratch that outlives the
+	// unit, the ts/ds columns belong to handler pools.
+	clear(g.recs)
 }
 
 // ---- checkpoints ------------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wcm/internal/stream"
 	"wcm/internal/wal"
@@ -52,9 +53,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		ring int
 	}{
 		{"sync-batch", wal.PolicyBatch, 0},
-		{"sync-always", wal.PolicyAlways, 0},
 		{"async-batch", wal.PolicyBatch, 16},
-		{"async-always", wal.PolicyAlways, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -270,7 +269,7 @@ func TestCleanShutdownRestart(t *testing.T) {
 func TestHealthzDurability(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 2, Stream: stream.Config{Window: 32, MaxK: 8}}
-	cfg.WAL = openTestWAL(t, dir, cfg, wal.PolicyAlways)
+	cfg.WAL = openTestWAL(t, dir, cfg, wal.PolicyBatch)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +283,7 @@ func TestHealthzDurability(t *testing.T) {
 	if recdr.Code != http.StatusOK {
 		t.Fatalf("healthz: %d %s", recdr.Code, body)
 	}
-	for _, want := range []string{`"durability"`, `"enabled":true`, `"fsync":"always"`} {
+	for _, want := range []string{`"durability"`, `"enabled":true`, `"fsync":"batch"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("healthz missing %s: %s", want, body)
 		}
@@ -300,11 +299,11 @@ func TestHealthzDurability(t *testing.T) {
 }
 
 // TestWALMetricsExposed asserts the durability metric families appear in
-// /metrics, with the fsync counter live under policy "always".
+// /metrics, with the fsync counter live under policy "batch".
 func TestWALMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 2, Stream: stream.Config{Window: 32, MaxK: 8}}
-	cfg.WAL = openTestWAL(t, dir, cfg, wal.PolicyAlways)
+	cfg.WAL = openTestWAL(t, dir, cfg, wal.PolicyBatch)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +329,7 @@ func TestWALMetricsExposed(t *testing.T) {
 		}
 	}
 	if strings.Contains(body, "wcmd_wal_fsyncs_total 0\n") {
-		t.Fatal("policy always performed no fsync")
+		t.Fatal("policy batch performed no fsync")
 	}
 
 	// A WAL-less server must emit none of the durability families.
@@ -338,6 +337,95 @@ func TestWALMetricsExposed(t *testing.T) {
 	_, raw = rawReq(t, "GET", plain.URL+"/metrics", "", nil)
 	if strings.Contains(string(raw), "wcmd_wal_") {
 		t.Fatal("in-memory server exposes wal metrics")
+	}
+}
+
+// TestOneCommitPerUnit pins the ingest tail's commit contract: one WAL
+// Commit per unit of work — a worker drain on the ring, a request on the
+// inline tail — so fsyncs never exceed the units, and a batch the stream
+// rejects adds no fsync of its own. One shard, so every stream shares one
+// log and one worker.
+func TestOneCommitPerUnit(t *testing.T) {
+	for _, ring := range []int{16, 0} {
+		t.Run(fmt.Sprintf("ring-%d", ring), func(t *testing.T) {
+			cfg := Config{Shards: 1, Stream: stream.Config{Window: 32, MaxK: 8},
+				IngestRing: ring, CoalesceBudget: 8}
+			m := openTestWAL(t, t.TempDir(), cfg, wal.PolicyBatch)
+			cfg.WAL = m
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			ingest := func(id string, tsv int64) int {
+				code, _ := rawReq(t, "POST", ts.URL+"/v1/streams/"+id+"/ingest", "",
+					[]byte(fmt.Sprintf(`{"t":[%d],"demand":[3]}`, tsv)))
+				return code
+			}
+			if code := ingest("s0", 0); code != http.StatusOK {
+				t.Fatalf("seed ingest: %d", code)
+			}
+
+			// Stall the tail on s0's lock, so concurrent ingests into three
+			// more streams pile up behind it — on the ring, one drain of
+			// three stream groups that a per-group commit would fsync
+			// three times.
+			e0 := srv.get("s0")
+			held := make(chan struct{})
+			go func() {
+				defer close(held)
+				e0.st.HoldLock(300 * time.Millisecond)
+			}()
+			for {
+				if _, err := e0.st.SnapshotWithin(0); err != nil {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// waitFor polls cond for as long as the hold could last; on the
+			// ring it orders the sends so the worker drains s0 alone first.
+			waitFor := func(cond func() bool) {
+				for deadline := time.Now().Add(time.Second); ring > 0 && !cond() && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if code := ingest(fmt.Sprintf("s%d", i), 100); code != http.StatusOK {
+						t.Errorf("ingest s%d: %d", i, code)
+					}
+				}(i)
+				if i == 0 {
+					waitFor(func() bool { return srv.metrics.coalesce.Count() == 2 })
+				}
+			}
+			waitFor(func() bool { return srv.pipes[0].ring.Len() == 3 })
+			wg.Wait()
+			<-held
+
+			fsyncs := m.Fsyncs()
+			units := srv.metrics.batches.Load()
+			if ring > 0 {
+				units = srv.metrics.coalesce.Count()
+			}
+			if fsyncs == 0 || fsyncs > units {
+				t.Fatalf("fsyncs = %d, want 1..%d (one commit per unit)", fsyncs, units)
+			}
+
+			// A rejected batch (its timestamp precedes the stream's) appends
+			// nothing, so its unit's commit has nothing to fsync.
+			if code := ingest("s0", 50); code != http.StatusBadRequest {
+				t.Fatalf("out-of-order ingest: %d, want 400", code)
+			}
+			if got := m.Fsyncs(); got != fsyncs {
+				t.Fatalf("rejected batch fsynced: %d → %d", fsyncs, got)
+			}
+		})
 	}
 }
 

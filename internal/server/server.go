@@ -141,9 +141,10 @@ type Config struct {
 	// gets an SPSC ring of this capacity (rounded up to a power of two)
 	// and a dedicated worker goroutine that drains it, coalescing batches
 	// that arrived concurrently into single-lock stream updates (see
-	// async.go). 0 keeps ingest synchronous — the right default for
-	// embedded uses (tests, libraries) that never call Server.Close;
-	// wcmd turns it on via -ingest-ring. Negative is invalid.
+	// async.go). 0 runs the same apply and commit inline in the handler,
+	// one request at a time — the right default for embedded uses (tests,
+	// libraries) that never call Server.Close; wcmd turns the ring on via
+	// -ingest-ring. Negative is invalid.
 	IngestRing int
 	// CoalesceBudget caps how many queued jobs one worker wakeup drains
 	// and fuses (only meaningful with IngestRing > 0). 0 picks
@@ -687,12 +688,15 @@ func decodeIngest(r io.Reader) (ingestRequest, error) {
 
 // ingestScratch holds every per-request buffer of the ingest path. One
 // instance cycles through scratchPool per request, so the steady state
-// allocates neither decode columns nor response bytes.
+// allocates neither decode columns, nor the inline tail's group columns,
+// nor response bytes.
 type ingestScratch struct {
 	body []byte        // raw request body
 	t, d []int64       // binary-decoded columns
 	req  ingestRequest // JSON decode target (column capacity reused)
 	out  []byte        // rendered response
+
+	groupScratch // the inline tail's unit of one (see async.go)
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -781,40 +785,62 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.faults != nil {
 		s.fire("ingest:update", e)
 	}
-	if s.pipes != nil && s.ingestAsync(w, r, sc, tDecoded, id, e, created, ts, ds) {
-		return
+	// Hand the job to the tail (see async.go): onto the shard's ring, or —
+	// with no ring to take it — through the same group apply and commit
+	// inline, as a group of one. The update span opens here and closes when
+	// the handler resumes, so it brackets the tail's queue_wait/apply/WAL
+	// children: exactly the time the stream update takes from this
+	// request's view.
+	job := jobPool.Get().(*ingestJob)
+	job.e, job.id, job.created = e, id, created
+	job.ts, job.ds = ts, ds
+	job.res, job.err, job.errCode = stream.IngestResult{}, nil, 0
+	job.scope = obs.FromContext(r.Context())
+	var upd trace.SpanRef
+	if tr != nil {
+		upd = tr.StartAt("update", tr.Root(), tDecoded)
+		job.tr, job.parent, job.enq = tr, upd, tDecoded
 	}
-	res, err := e.st.Ingest(ts, ds)
+	idx := int(s.shardIndex(id))
+	queued, busy := s.enqueueIngest(idx, job, r)
+	if !queued && !busy {
+		g := &sc.groupScratch
+		g.group = append(g.group[:0], job)
+		s.applyGroup(g, idx, g.group, time.Time{})
+		s.commitUnit(idx, g.group)
+	}
+	if !busy {
+		<-job.done // unconditional: the tail reads buffers this handler owns
+	}
+	res, err, code := job.res, job.err, job.errCode
+	job.e, job.ts, job.ds = nil, nil, nil
+	job.scope, job.tr, job.parent = nil, nil, trace.SpanRef{}
+	jobPool.Put(job)
+
 	tUpdated := time.Now()
-	s.stUpdate.Observe(tUpdated.Sub(tDecoded))
-	tr.RecordAt("update", tr.Root(), tDecoded, tUpdated)
-	if err != nil {
+	upd.EndAt(tUpdated)
+	if busy {
 		if created {
 			s.dropIfEmpty(id, e)
 		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		// Hint proportional to the backlog still queued: a ring that is
+		// still full after the deadline's worth of retries earns a longer
+		// backoff than one that drained while we waited.
+		p := s.pipes[idx]
+		writeBusy(w, "ingest queue full past request deadline",
+			retryAfterFloorSeconds+p.ring.Len()/p.ring.Cap())
 		return
 	}
-	if err := s.ensureRegistered(id, e); err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
-	}
-	if s.wal != nil {
-		// Durability before acknowledgement: the batch is applied, now it
-		// must survive a crash before the client is told it was accepted.
-		t0 := time.Now()
-		werr := s.walLogSync(id, e, res, ts, ds)
-		tr.RecordAt("wal_commit", tr.Root(), t0, time.Now())
-		if werr != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{fmt.Sprintf("wal append failed: %v", werr)})
-			return
+	s.stUpdate.Observe(tUpdated.Sub(tDecoded))
+	if err != nil {
+		if code == 0 {
+			code = http.StatusBadRequest
 		}
+		writeJSON(w, code, errorResponse{err.Error()})
+		return
 	}
-	s.metrics.samples.Add(uint64(res.Accepted))
-	s.metrics.batches.Add(1)
+	// Metrics were counted by the tail; only rendering remains.
 	if res.Violation != nil {
-		s.metrics.violatingBatches.Add(1)
 		writeJSON(w, http.StatusOK, ingestResponse{
 			Accepted:   res.Accepted,
 			Total:      res.Total,

@@ -63,150 +63,163 @@ func waitTrace(t *testing.T, s *Server, reqID string) *trace.Active {
 const sampleTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
 // TestTraceAsyncSpanTree is the tracing acceptance test: one traced
-// binary-format ingest through the async pipeline with durability on must
-// produce a single span tree — handler-side decode/update/render plus the
-// worker-side queue_wait/apply/wal_append/wal_fsync recorded across the
-// ring hop — all under one trace ID, with every span inside the root's
-// bounds and the root duration exactly matching the ingest endpoint
-// histogram.
+// binary-format ingest with durability on must produce a single span tree —
+// handler-side decode/update/render plus the tail's apply/wal_append/
+// wal_fsync under the update span — all under one trace ID, with every span
+// inside the root's bounds and the root duration exactly matching the
+// ingest endpoint histogram. Through the async pipeline the tail's spans
+// are recorded across the ring hop and include queue_wait; on the inline
+// tail (IngestRing 0) there is no queue, and apply covers a group of one.
 func TestTraceAsyncSpanTree(t *testing.T) {
-	cfg := Config{
-		Shards:         4,
-		Stream:         streamCfg,
-		IngestRing:     16,
-		CoalesceBudget: 8,
-		TraceSample:    1,
-	}
-	cfg.WAL = openTestWAL(t, t.TempDir(), cfg, wal.PolicyBatch)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, ring := range []int{16, 0} {
+		t.Run(fmt.Sprintf("ring-%d", ring), func(t *testing.T) {
+			cfg := Config{
+				Shards:         4,
+				Stream:         streamCfg,
+				IngestRing:     ring,
+				CoalesceBudget: 8,
+				TraceSample:    1,
+			}
+			cfg.WAL = openTestWAL(t, t.TempDir(), cfg, wal.PolicyBatch)
+			tailSpans := []string{"apply", "wal_append", "wal_fsync"}
+			if ring > 0 {
+				tailSpans = append(tailSpans, "queue_wait")
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	body := AppendBinaryBatch(nil, []int64{0, 100, 200}, []int64{3, 5, 4})
-	code, hdr, raw := tracedReq(t, "POST", ts.URL+"/v1/streams/cam/ingest", map[string]string{
-		"Content-Type": ContentTypeBinary,
-		"X-Request-Id": "e2e-1",
-		"traceparent":  sampleTraceparent,
-	}, body)
-	if code != http.StatusOK {
-		t.Fatalf("ingest: %d %s", code, raw)
-	}
-	if got := hdr.Get("X-Request-Id"); got != "e2e-1" {
-		t.Fatalf("X-Request-Id echo = %q", got)
-	}
-	echo := hdr.Get("Traceparent")
-	if !strings.HasPrefix(echo, "00-4bf92f3577b34da6a3ce929d0e0e4736-") {
-		t.Fatalf("Traceparent echo %q does not carry the accepted trace-id", echo)
-	}
+			body := AppendBinaryBatch(nil, []int64{0, 100, 200}, []int64{3, 5, 4})
+			code, hdr, raw := tracedReq(t, "POST", ts.URL+"/v1/streams/cam/ingest", map[string]string{
+				"Content-Type": ContentTypeBinary,
+				"X-Request-Id": "e2e-1",
+				"traceparent":  sampleTraceparent,
+			}, body)
+			if code != http.StatusOK {
+				t.Fatalf("ingest: %d %s", code, raw)
+			}
+			if got := hdr.Get("X-Request-Id"); got != "e2e-1" {
+				t.Fatalf("X-Request-Id echo = %q", got)
+			}
+			echo := hdr.Get("Traceparent")
+			if !strings.HasPrefix(echo, "00-4bf92f3577b34da6a3ce929d0e0e4736-") {
+				t.Fatalf("Traceparent echo %q does not carry the accepted trace-id", echo)
+			}
 
-	tr := waitTrace(t, s, "e2e-1")
-	if tr.TraceIDHex() != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Fatalf("stored trace-id = %q", tr.TraceIDHex())
-	}
-	if !tr.Remote() {
-		t.Fatal("trace not marked remote despite valid traceparent")
-	}
+			tr := waitTrace(t, s, "e2e-1")
+			if tr.TraceIDHex() != "4bf92f3577b34da6a3ce929d0e0e4736" {
+				t.Fatalf("stored trace-id = %q", tr.TraceIDHex())
+			}
+			if !tr.Remote() {
+				t.Fatal("trace not marked remote despite valid traceparent")
+			}
 
-	spans := tr.Spans()
-	byName := map[string]*trace.Span{}
-	for i := range spans {
-		byName[spans[i].Name] = &spans[i]
-	}
-	root := byName["request"]
-	if root == nil || root.ID != 1 {
-		t.Fatalf("no root span: %+v", spans)
-	}
-	// The async hop: worker-side spans hang off the handler's update span,
-	// in the same slab as the handler-side ones — one trace across the ring.
-	update := byName["update"]
-	if update == nil {
-		t.Fatalf("no update span; spans = %+v", spans)
-	}
-	for _, name := range []string{"queue_wait", "apply", "wal_append", "wal_fsync"} {
-		sp := byName[name]
-		if sp == nil {
-			t.Fatalf("worker span %q missing; spans = %+v", name, spans)
-		}
-		if sp.Parent != update.ID {
-			t.Errorf("%s.Parent = %d, want update (%d)", name, sp.Parent, update.ID)
-		}
-	}
-	for _, name := range []string{"decode", "update", "render"} {
-		sp := byName[name]
-		if sp == nil {
-			t.Fatalf("handler span %q missing; spans = %+v", name, spans)
-		}
-		if sp.Parent != 1 {
-			t.Errorf("%s.Parent = %d, want root", name, sp.Parent)
-		}
-	}
-	if ap := byName["apply"]; ap.NAttr < 1 || ap.Attrs[0].Key != "coalesced" || ap.Attrs[0].Int < 1 {
-		t.Errorf("apply attrs = %+v", ap.Attrs[:ap.NAttr])
-	}
+			spans := tr.Spans()
+			byName := map[string]*trace.Span{}
+			for i := range spans {
+				byName[spans[i].Name] = &spans[i]
+			}
+			root := byName["request"]
+			if root == nil || root.ID != 1 {
+				t.Fatalf("no root span: %+v", spans)
+			}
+			// The tail's spans hang off the handler's update span, in the same
+			// slab as the handler-side ones — one trace across the ring hop.
+			update := byName["update"]
+			if update == nil {
+				t.Fatalf("no update span; spans = %+v", spans)
+			}
+			for _, name := range tailSpans {
+				sp := byName[name]
+				if sp == nil {
+					t.Fatalf("tail span %q missing; spans = %+v", name, spans)
+				}
+				if sp.Parent != update.ID {
+					t.Errorf("%s.Parent = %d, want update (%d)", name, sp.Parent, update.ID)
+				}
+			}
+			for _, name := range []string{"decode", "update", "render"} {
+				sp := byName[name]
+				if sp == nil {
+					t.Fatalf("handler span %q missing; spans = %+v", name, spans)
+				}
+				if sp.Parent != 1 {
+					t.Errorf("%s.Parent = %d, want root", name, sp.Parent)
+				}
+			}
+			if ap := byName["apply"]; ap.NAttr < 1 || ap.Attrs[0].Key != "coalesced" || ap.Attrs[0].Int < 1 ||
+				(ring == 0 && ap.Attrs[0].Int != 1) {
+				t.Errorf("apply attrs = %+v", ap.Attrs[:ap.NAttr])
+			}
+			if ring == 0 && byName["queue_wait"] != nil {
+				t.Error("inline tail recorded a queue_wait span")
+			}
 
-	// Timing consistency: every span closed, inside the root's bounds, and
-	// the root duration agrees exactly with the endpoint histogram (both are
-	// fed the same time.Since(start)).
-	for i := range spans {
-		sp := &spans[i]
-		if sp.DurNs < 0 {
-			t.Errorf("span %q left open", sp.Name)
-			continue
-		}
-		if sp.StartNs < 0 || sp.StartNs+sp.DurNs > root.DurNs {
-			t.Errorf("span %q [%d, +%d] outside root duration %d",
-				sp.Name, sp.StartNs, sp.DurNs, root.DurNs)
-		}
-	}
-	snap := s.metrics.endpoints["ingest"].latency.Snapshot()
-	if snap.Count != 1 || snap.SumNs != root.DurNs {
-		t.Errorf("histogram count=%d sum=%d, root DurNs=%d — trace and histogram disagree",
-			snap.Count, snap.SumNs, root.DurNs)
-	}
+			// Timing consistency: every span closed, inside the root's bounds, and
+			// the root duration agrees exactly with the endpoint histogram (both are
+			// fed the same time.Since(start)).
+			for i := range spans {
+				sp := &spans[i]
+				if sp.DurNs < 0 {
+					t.Errorf("span %q left open", sp.Name)
+					continue
+				}
+				if sp.StartNs < 0 || sp.StartNs+sp.DurNs > root.DurNs {
+					t.Errorf("span %q [%d, +%d] outside root duration %d",
+						sp.Name, sp.StartNs, sp.DurNs, root.DurNs)
+				}
+			}
+			snap := s.metrics.endpoints["ingest"].latency.Snapshot()
+			if snap.Count != 1 || snap.SumNs != root.DurNs {
+				t.Errorf("histogram count=%d sum=%d, root DurNs=%d — trace and histogram disagree",
+					snap.Count, snap.SumNs, root.DurNs)
+			}
 
-	// The HTTP surface renders the same tree.
-	code, m := doJSON(t, "GET", ts.URL+"/debug/traces/e2e-1", "")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/traces/e2e-1: %d %v", code, m)
-	}
-	if m["trace_id"] != "4bf92f3577b34da6a3ce929d0e0e4736" || m["remote_parent"] != true {
-		t.Fatalf("trace JSON header fields: %v", m)
-	}
-	rootJSON := m["root"].(map[string]any)
-	if rootJSON["name"] != "request" {
-		t.Fatalf("root JSON = %v", rootJSON)
-	}
-	var updateJSON map[string]any
-	for _, c := range rootJSON["children"].([]any) {
-		if cm := c.(map[string]any); cm["name"] == "update" {
-			updateJSON = cm
-		}
-	}
-	if updateJSON == nil {
-		t.Fatalf("update missing from JSON tree: %v", rootJSON)
-	}
-	workerNames := map[string]bool{}
-	for _, c := range updateJSON["children"].([]any) {
-		workerNames[c.(map[string]any)["name"].(string)] = true
-	}
-	for _, name := range []string{"queue_wait", "apply", "wal_append", "wal_fsync"} {
-		if !workerNames[name] {
-			t.Errorf("JSON tree: %s not under update: %v", name, workerNames)
-		}
-	}
+			// The HTTP surface renders the same tree.
+			code, m := doJSON(t, "GET", ts.URL+"/debug/traces/e2e-1", "")
+			if code != http.StatusOK {
+				t.Fatalf("/debug/traces/e2e-1: %d %v", code, m)
+			}
+			if m["trace_id"] != "4bf92f3577b34da6a3ce929d0e0e4736" || m["remote_parent"] != true {
+				t.Fatalf("trace JSON header fields: %v", m)
+			}
+			rootJSON := m["root"].(map[string]any)
+			if rootJSON["name"] != "request" {
+				t.Fatalf("root JSON = %v", rootJSON)
+			}
+			var updateJSON map[string]any
+			for _, c := range rootJSON["children"].([]any) {
+				if cm := c.(map[string]any); cm["name"] == "update" {
+					updateJSON = cm
+				}
+			}
+			if updateJSON == nil {
+				t.Fatalf("update missing from JSON tree: %v", rootJSON)
+			}
+			workerNames := map[string]bool{}
+			for _, c := range updateJSON["children"].([]any) {
+				workerNames[c.(map[string]any)["name"].(string)] = true
+			}
+			for _, name := range tailSpans {
+				if !workerNames[name] {
+					t.Errorf("JSON tree: %s not under update: %v", name, workerNames)
+				}
+			}
 
-	// And the index filters.
-	code, m = doJSON(t, "GET", ts.URL+"/debug/traces?endpoint=ingest", "")
-	if code != http.StatusOK || m["count"].(float64) < 1 {
-		t.Fatalf("/debug/traces?endpoint=ingest: %d %v", code, m)
-	}
-	code, m = doJSON(t, "GET", ts.URL+"/debug/traces?endpoint=nosuch", "")
-	if code != http.StatusOK || m["count"].(float64) != 0 {
-		t.Fatalf("/debug/traces?endpoint=nosuch: %d %v", code, m)
+			// And the index filters.
+			code, m = doJSON(t, "GET", ts.URL+"/debug/traces?endpoint=ingest", "")
+			if code != http.StatusOK || m["count"].(float64) < 1 {
+				t.Fatalf("/debug/traces?endpoint=ingest: %d %v", code, m)
+			}
+			code, m = doJSON(t, "GET", ts.URL+"/debug/traces?endpoint=nosuch", "")
+			if code != http.StatusOK || m["count"].(float64) != 0 {
+				t.Fatalf("/debug/traces?endpoint=nosuch: %d %v", code, m)
+			}
+		})
 	}
 }
 

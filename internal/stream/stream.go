@@ -215,8 +215,8 @@ func (s *Stream) Ingest(ts, demands []int64) (IngestResult, error) {
 // sign invariants, starting from `last` (the newest timestamp already
 // accepted). It is the single source of truth for ingest validation —
 // Ingest and IngestBatches must reject exactly the same batches with
-// exactly the same errors for the async pipeline to be response-identical
-// to the sync path.
+// exactly the same errors, so a batch answers the same whether it is
+// ingested alone or coalesced with others.
 func validateBatch(ts, demands []int64, last int64) error {
 	if len(ts) == 0 || len(ts) != len(demands) {
 		return fmt.Errorf("%w: %d timestamps, %d demands", ErrBadBatch, len(ts), len(demands))

@@ -16,11 +16,11 @@
 // # Group commit
 //
 // The serving layer appends a record for each applied batch and then calls
-// Commit before acknowledging the client; Commit's fsync behavior is the
-// configured Policy. Under the async ingest pipeline, a whole coalesced
-// group (PolicyAlways) or a whole worker wakeup (PolicyBatch) rides one
-// fsync — group commit — so the fsync cost amortizes across every batch
-// that arrived while the previous group was applying.
+// Commit once per unit of work before acknowledging any batch of it;
+// Commit's fsync behavior is the configured Policy. A unit is one request
+// on the inline ingest path and one worker wakeup — every coalesced group
+// of the drain — on the async pipeline, so there one fsync covers every
+// batch that arrived while the previous drain was applying (group commit).
 //
 // # Checkpoints
 //
@@ -40,7 +40,7 @@
 // intact byte, where the file is truncated so new appends start from a
 // valid tail. Per stream, surviving records are the ones after the last
 // tombstone and newer than the snapshot's version, sorted by version
-// (concurrent sync-path appenders may land slightly out of order); the
+// (concurrent inline-path appenders may land slightly out of order); the
 // serving layer replays them through the normal ingest path. The result
 // is exposed via Recovery.
 package wal
@@ -66,19 +66,16 @@ const DefaultSegmentBytes = 64 << 20
 // segMagic heads every segment file.
 const segMagic = "WCMWAL1\n"
 
-// Policy selects when appends are fsynced.
+// Policy selects whether Commit fsyncs. Under either policy the serving
+// layer acknowledges a batch only after the Commit that covers it; the
+// policy decides whether that Commit waits for the disk.
 type Policy int
 
 const (
-	// PolicyBatch fsyncs once per group commit — per request on the
-	// synchronous ingest path, once per worker WAKEUP (all coalesced
-	// groups of the drain) on the async pipeline, before any of those
-	// batches are acknowledged. The default.
+	// PolicyBatch fsyncs once per Commit — per request on the inline
+	// ingest path, once per worker wakeup on the async pipeline — before
+	// any batch the commit covers is acknowledged. The default.
 	PolicyBatch Policy = iota
-	// PolicyAlways fsyncs before every acknowledgement batch-group-wise:
-	// per request on the synchronous path, per coalesced stream group on
-	// the async pipeline.
-	PolicyAlways
 	// PolicyNone never fsyncs on the ingest path; the OS flushes when it
 	// pleases. Acknowledged data survives process death (the page cache
 	// persists) but not machine death. Close still flushes.
@@ -89,8 +86,6 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyBatch:
 		return "batch"
-	case PolicyAlways:
-		return "always"
 	case PolicyNone:
 		return "none"
 	}
@@ -102,12 +97,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "batch":
 		return PolicyBatch, nil
-	case "always":
-		return PolicyAlways, nil
 	case "none":
 		return PolicyNone, nil
 	}
-	return 0, fmt.Errorf(`wal: fsync policy %q (want "always", "batch" or "none")`, s)
+	return 0, fmt.Errorf(`wal: fsync policy %q (want "batch" or "none")`, s)
 }
 
 // Options parameterizes Open.
@@ -342,21 +335,6 @@ func segName(seg uint64) string { return fmt.Sprintf("wal-%08d.log", seg) }
 
 // ---- append path -----------------------------------------------------------
 
-// AppendIngest logs one applied batch. It writes (one write syscall, no
-// user-space buffering — an acknowledged record is in the page cache even
-// if the process dies before any fsync) but does not sync; pair with
-// Commit before acknowledging. The serving layer calls this under its
-// shard lock so no record for a stream can land after that stream's
-// tombstone.
-func (l *ShardLog) AppendIngest(id string, version int64, ts, ds []int64) error {
-	if len(id) > maxIDLen {
-		return fmt.Errorf("wal: stream id %d bytes exceeds %d", len(id), maxIDLen)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(recIngest, id, version, ts, ds)
-}
-
 // IngestRec is one applied batch of an AppendIngestGroup call.
 type IngestRec struct {
 	ID      string
@@ -364,15 +342,16 @@ type IngestRec struct {
 	Ts, Ds  []int64
 }
 
-// AppendIngestGroup logs a whole coalesced group of applied batches with ONE
-// write syscall. Each record is framed exactly as AppendIngest frames it —
-// replay cannot tell the two apart — but the group shares a single encode
-// buffer fill, lock acquisition and kernel crossing. This is the async
-// pipeline's group-commit companion: per-record AppendIngest calls paid a
-// buffer reset, counter pair and write per job, which at high coalesce
-// ratios dominated the ingest allocation profile; a drain's records now
-// amortize all of it. The appends counter still advances once per RECORD,
-// so wcmd_wal_appends_total means the same thing on both paths.
+// AppendIngestGroup logs a group of applied batches — one stream group of
+// the serving layer's ingest tail, often a single batch — with ONE write
+// syscall and no user-space buffering, so an acknowledged record is in the
+// page cache even if the process dies before any fsync. It does not sync;
+// pair with Commit before acknowledging. The serving layer calls this under
+// its shard lock so no record for a stream can land after that stream's
+// tombstone. Each record is framed on its own — replay cannot tell how
+// records were grouped — but the group shares a single encode buffer fill,
+// lock acquisition and kernel crossing. The appends counter advances once
+// per RECORD, not per write.
 func (l *ShardLog) AppendIngestGroup(recs []IngestRec) error {
 	if len(recs) == 0 {
 		return nil
@@ -411,7 +390,7 @@ func (l *ShardLog) AppendIngestGroup(recs []IngestRec) error {
 	return nil
 }
 
-// AppendTombstone logs a DELETE. Same contract as AppendIngest.
+// AppendTombstone logs a DELETE. Same contract as AppendIngestGroup.
 func (l *ShardLog) AppendTombstone(id string) error {
 	if len(id) > maxIDLen {
 		return fmt.Errorf("wal: stream id %d bytes exceeds %d", len(id), maxIDLen)
@@ -447,9 +426,9 @@ func (l *ShardLog) appendLocked(kind byte, id string, version int64, ts, ds []in
 }
 
 // Commit makes every record appended so far durable under the configured
-// policy: fsync when dirty (PolicyAlways/PolicyBatch), no-op under
-// PolicyNone. The serving layer calls it before acknowledging the batches
-// the pending records carry.
+// policy: fsync when dirty (PolicyBatch), no-op under PolicyNone. The
+// serving layer calls it once per unit of work, before acknowledging the
+// batches the pending records carry.
 func (l *ShardLog) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -32,8 +32,8 @@ func mustOpen(t *testing.T, opts Options) *Manager {
 
 func ing(t *testing.T, l *ShardLog, id string, ver int64, ts, ds []int64) {
 	t.Helper()
-	if err := l.AppendIngest(id, ver, ts, ds); err != nil {
-		t.Fatalf("AppendIngest(%s, v%d): %v", id, ver, err)
+	if err := l.AppendIngestGroup([]IngestRec{{ID: id, Version: ver, Ts: ts, Ds: ds}}); err != nil {
+		t.Fatalf("AppendIngestGroup(%s, v%d): %v", id, ver, err)
 	}
 }
 
@@ -453,7 +453,7 @@ func TestCleanMarkerLifecycle(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"always": PolicyAlways, "batch": PolicyBatch, "none": PolicyNone} {
+	for s, want := range map[string]Policy{"batch": PolicyBatch, "none": PolicyNone} {
 		p, err := ParsePolicy(s)
 		if err != nil || p != want {
 			t.Errorf("ParsePolicy(%q) = %v, %v", s, p, err)
@@ -464,6 +464,11 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("sometimes"); err == nil {
 		t.Error("ParsePolicy accepted garbage")
+	}
+	// "always" was folded into "batch": both fsynced before the ack.
+	_, err := ParsePolicy("always")
+	if err == nil || !strings.Contains(err.Error(), `want "batch" or "none"`) {
+		t.Errorf(`ParsePolicy("always") error = %v, want one listing the valid values`, err)
 	}
 }
 
@@ -514,8 +519,8 @@ func TestOversizedIDRejected(t *testing.T) {
 	m := mustOpen(t, testOpts(dir))
 	defer m.Close()
 	huge := strings.Repeat("x", maxIDLen+1)
-	if err := m.Shard(0).AppendIngest(huge, 1, []int64{1}, []int64{1}); err == nil {
-		t.Error("oversized id accepted by AppendIngest")
+	if err := m.Shard(0).AppendIngestGroup([]IngestRec{{ID: huge, Version: 1, Ts: []int64{1}, Ds: []int64{1}}}); err == nil {
+		t.Error("oversized id accepted by AppendIngestGroup")
 	}
 	if err := m.Shard(0).AppendTombstone(huge); err == nil {
 		t.Error("oversized id accepted by AppendTombstone")
