@@ -71,12 +71,13 @@ type ingestJob struct {
 
 	// Request context carried into the tail. scope is the originating
 	// request's observability scope — the tail's log lines go through it
-	// so they keep the request's trace_id/endpoint attribution.
-	// tr/parent/enq stitch the tail's spans (queue wait, apply, WAL
-	// append/fsync) into the request's trace under the handler's update
-	// span; all nil/zero when the request is untraced. The handler always
-	// parks on done until the tail finishes, so every tail-side use of
-	// these fields happens-before the scope and trace are recycled.
+	// so they keep the request's trace_id/endpoint attribution. enq is the
+	// handler's decode end, where queue_wait starts. tr/parent stitch the
+	// tail's spans (queue wait, apply, WAL append/fsync) into the
+	// request's trace under the handler's update span; nil/zero when the
+	// request is untraced. The handler always parks on done until the tail
+	// finishes, so every tail-side use of these fields happens-before the
+	// scope and trace are recycled.
 	scope  *obs.Request
 	tr     *trace.Active
 	parent trace.SpanRef
@@ -102,17 +103,6 @@ func (j *ingestJob) logger(fallback *slog.Logger) *slog.Logger {
 var jobPool = sync.Pool{New: func() any {
 	return &ingestJob{done: make(chan struct{}, 1)}
 }}
-
-// anyTraced reports whether some job of jobs carries a trace, so untraced
-// units never touch the clock for tracing.
-func anyTraced(jobs []*ingestJob) bool {
-	for _, job := range jobs {
-		if job != nil && job.tr != nil {
-			return true
-		}
-	}
-	return false
-}
 
 // groupScratch is the tail's reusable scratch for one unit of work (a
 // worker drain or an inline request): the unit's jobs in stream-group
@@ -264,15 +254,17 @@ func (s *Server) ingestWorker(p *ingestPipe) {
 		}
 		s.metrics.coalesce.Observe(int64(n))
 		jobs := p.jobs[:n]
-		// One timestamp per drain, taken only when some job is traced.
-		var tPop time.Time
-		if anyTraced(jobs) {
-			tPop = time.Now()
+		// One timestamp per drain: it ends every job's queue_wait and
+		// starts the first group's apply.
+		tPop := time.Now()
+		for _, job := range jobs {
+			s.metrics.closeStage(stageQueueWait, job.tr, job.parent, job.enq, tPop)
 		}
 		// Stable partition into p.group, one contiguous run per stream:
 		// within a stream, arrival order is preserved; across streams,
 		// reordering is invisible (different locks anyway).
 		p.group = p.group[:0]
+		t := tPop
 		for i := 0; i < n; i++ {
 			if jobs[i] == nil {
 				continue
@@ -284,9 +276,9 @@ func (s *Server) ingestWorker(p *ingestPipe) {
 					jobs[k] = nil
 				}
 			}
-			s.applyGroup(&p.groupScratch, p.idx, p.group[start:], tPop)
+			t = s.applyGroup(&p.groupScratch, p.idx, p.group[start:], t)
 		}
-		s.commitUnit(p.idx, p.group)
+		s.commitUnit(p.idx, p.group, t)
 	}
 }
 
@@ -297,19 +289,10 @@ func (s *Server) ingestWorker(p *ingestPipe) {
 // the caller's commitUnit does both, once per unit of work. A panic inside
 // the stream update is caught here and answered as a 500 on every job of
 // the group (nothing is appended for a panicked group: the append comes
-// after a successful apply). tPop is the worker's drain timestamp, where
-// queue_wait ends; zero on the inline tail, which has no queue.
-func (s *Server) applyGroup(g *groupScratch, idx int, group []*ingestJob, tPop time.Time) {
-	traced := anyTraced(group)
-	var tApply time.Time
-	if traced {
-		tApply = time.Now()
-		for _, job := range group {
-			if job.tr != nil && !tPop.IsZero() {
-				job.tr.RecordAt("queue_wait", job.parent, job.enq, tPop)
-			}
-		}
-	}
+// after a successful apply). The apply stage starts at start, the unit's
+// previous stage boundary; applyGroup returns the group's last boundary,
+// where the next stage starts.
+func (s *Server) applyGroup(g *groupScratch, idx int, group []*ingestJob, start time.Time) time.Time {
 	e := group[0].e
 	g.batches = g.batches[:0]
 	for _, job := range group {
@@ -321,6 +304,8 @@ func (s *Server) applyGroup(g *groupScratch, idx int, group []*ingestJob, tPop t
 		e.st.IngestBatches(g.batches, g.results)
 		return nil
 	}()
+	tApplied := time.Now()
+	s.metrics.closeGroupStage(stageApply, group, start, tApplied)
 	if panicked != nil {
 		s.metrics.panics.Add(1)
 		// One Error line per affected request, through each request's own
@@ -335,16 +320,7 @@ func (s *Server) applyGroup(g *groupScratch, idx int, group []*ingestJob, tPop t
 			job.err = fmt.Errorf("internal error applying ingest batch")
 			job.errCode = http.StatusInternalServerError
 		}
-		return
-	}
-	if traced {
-		tApplied := time.Now()
-		for _, job := range group {
-			if job.tr != nil {
-				job.tr.RecordAt("apply", job.parent, tApply, tApplied).
-					Int("coalesced", int64(len(group)))
-			}
-		}
+		return tApplied
 	}
 	for gi, job := range group {
 		job.res, job.err = g.results[gi].Res, g.results[gi].Err
@@ -365,8 +341,9 @@ func (s *Server) applyGroup(g *groupScratch, idx int, group []*ingestJob, tPop t
 		}
 	}
 	if s.wal != nil {
-		s.walLogGroup(g, idx, e, group, traced)
+		return s.walLogGroup(g, idx, e, group, tApplied)
 	}
+	return tApplied
 }
 
 // commitUnit is the tail's one WAL commit point and one release point. A
@@ -374,25 +351,17 @@ func (s *Server) applyGroup(g *groupScratch, idx int, group []*ingestJob, tPop t
 // makes every batch its groups appended durable before ANY of their
 // handlers is released, and a commit failure fails every job it would have
 // acknowledged (500). Commit is a no-op when nothing was appended and
-// under fsync policy "none".
-func (s *Server) commitUnit(idx int, jobs []*ingestJob) {
+// under fsync policy "none"; only a commit that fsynced closes the
+// wal_fsync stage, which starts at start, the unit's last boundary.
+func (s *Server) commitUnit(idx int, jobs []*ingestJob, start time.Time) {
 	if s.wal != nil {
-		traced := anyTraced(jobs)
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-		}
-		err := s.walShards[idx].Commit()
-		var t1 time.Time
-		if traced {
-			t1 = time.Now()
+		synced, err := s.walShards[idx].CommitSynced()
+		if synced {
+			s.metrics.closeGroupStage(stageWALFsync, jobs, start, time.Now())
 		}
 		for _, job := range jobs {
 			if job.err != nil {
 				continue
-			}
-			if job.tr != nil {
-				job.tr.RecordAt("wal_fsync", job.parent, t0, t1)
 			}
 			if err != nil {
 				job.logger(s.logger).LogAttrs(context.Background(), slog.LevelError,
@@ -404,16 +373,6 @@ func (s *Server) commitUnit(idx int, jobs []*ingestJob) {
 	}
 	for _, job := range jobs {
 		job.done <- struct{}{}
-	}
-}
-
-// observeRender closes the ingest render stage span and, on a traced
-// request, records it as a span too.
-func (s *Server) observeRender(tr *trace.Active, tUpdated time.Time) {
-	end := time.Now()
-	s.stRender.Observe(end.Sub(tUpdated))
-	if tr != nil {
-		tr.RecordAt("render", tr.Root(), tUpdated, end)
 	}
 }
 

@@ -60,7 +60,6 @@ func (s *Server) attachWAL(m *wal.Manager) error {
 	for i := range s.walShards {
 		s.walShards[i] = m.Shard(i)
 	}
-	m.SetObs(s.metrics.stage(stageWALAppend), s.metrics.stage(stageWALFsync))
 	s.recovering.Store(true)
 	defer s.recovering.Store(false)
 	return s.recoverFromWAL()
@@ -145,10 +144,13 @@ func (s *Server) recoverStream(sr wal.StreamRecovery) (*stream.Stream, error) {
 // perspective (a partial write is a torn tail recovery refuses to trust),
 // and an applied-but-unlogged batch must not be acknowledged. Failures are
 // logged per job through the originating request's logger (trace_id
-// attached); traced jobs get a wal_append span covering the group write.
-func (s *Server) walLogGroup(g *groupScratch, idx int, e *entry, group []*ingestJob, traced bool) {
+// attached). The wal_append stage runs from start (the apply's end) to the
+// append's return; walLogGroup returns that boundary, or start when
+// nothing was appended.
+func (s *Server) walLogGroup(g *groupScratch, idx int, e *entry, group []*ingestJob, start time.Time) time.Time {
 	l := s.walShards[idx]
 	sh := s.shards[idx]
+	end := start
 	g.recs = g.recs[:0]
 	sh.mu.RLock()
 	if e.state.Load() != entryDeleted {
@@ -159,19 +161,9 @@ func (s *Server) walLogGroup(g *groupScratch, idx int, e *entry, group []*ingest
 			}
 		}
 		if len(g.recs) > 0 {
-			var t0 time.Time
-			if traced {
-				t0 = time.Now()
-			}
 			err := l.AppendIngestGroup(g.recs)
-			if traced {
-				t1 := time.Now()
-				for _, job := range group {
-					if job.tr != nil && job.err == nil {
-						job.tr.RecordAt("wal_append", job.parent, t0, t1)
-					}
-				}
-			}
+			end = time.Now()
+			s.metrics.closeGroupStage(stageWALAppend, group, start, end)
 			if err != nil {
 				for _, job := range group {
 					if job.err == nil {
@@ -188,6 +180,7 @@ func (s *Server) walLogGroup(g *groupScratch, idx int, e *entry, group []*ingest
 	// Drop the aliased job buffers: recs is scratch that outlives the
 	// unit, the ts/ds columns belong to handler pools.
 	clear(g.recs)
+	return end
 }
 
 // ---- checkpoints ------------------------------------------------------------
@@ -263,31 +256,6 @@ func (s *Server) checkpointLoop(interval time.Duration) {
 		case <-s.ckStop:
 			return
 		}
-	}
-}
-
-// walGauges carries the scrape-time durability readings into the metrics
-// writer; nil when the server runs without a WAL.
-type walGauges struct {
-	bytes, appends, fsyncs, torn     uint64
-	replayedBatches, replayedSamples uint64
-	recoveredStreams                 uint64
-	cleanStart                       bool
-}
-
-func (s *Server) walGaugesNow() *walGauges {
-	if s.wal == nil {
-		return nil
-	}
-	return &walGauges{
-		bytes:            s.wal.BytesAppended(),
-		appends:          s.wal.Appends(),
-		fsyncs:           s.wal.Fsyncs(),
-		torn:             s.wal.TornTails(),
-		replayedBatches:  s.recovered.batches.Load(),
-		replayedSamples:  s.recovered.samples.Load(),
-		recoveredStreams: s.recovered.streams.Load(),
-		cleanStart:       s.wal.CleanStart(),
 	}
 }
 

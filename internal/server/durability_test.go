@@ -425,6 +425,11 @@ func TestOneCommitPerUnit(t *testing.T) {
 			if got := m.Fsyncs(); got != fsyncs {
 				t.Fatalf("rejected batch fsynced: %d → %d", fsyncs, got)
 			}
+			// The wal_fsync stage counts exactly the commits that synced:
+			// the rejected batch's no-op commit is not one.
+			if got := srv.metrics.stages[stageWALFsync].Count(); got != fsyncs {
+				t.Fatalf("wal_fsync stage count = %d, fsyncs = %d", got, fsyncs)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -12,37 +13,132 @@ import (
 	"time"
 
 	"wcm/internal/obs"
+	"wcm/internal/obs/trace"
 )
 
-// Stage names for the hot-path timing spans. The ingest path is split at
-// its three phase boundaries (decode → shard/stream update → render);
-// the cached query paths record one span per outcome so hit and miss
-// latencies are separable distributions, not one blurred histogram.
+// stageID indexes the stage table: every pipeline stage the service times.
+// Each stage is timed once, from one pair of timestamps, and that single
+// reading feeds both its wcmd_stage_latency_seconds histogram and — on a
+// traced request — its span. Adjacent stages share their boundary
+// timestamp, so each boundary costs one clock read. The intervals:
+//
+//	decode      handler entry → body read and parsed (JSON or binary)
+//	update      decode end → the handler resumes from the ingest tail, for
+//	            every request that reached the hand-off: applied, rejected,
+//	            or shed 503 because the ring stayed full past its deadline
+//	render      update end → ingest response encoded and written
+//	cache_hit   cached query replayed from the version-keyed cache
+//	cache_miss  query computed from a fresh snapshot
+//	queue_wait  decode end → the worker drained the job (ring only; per job)
+//	apply       one stream group's IngestBatches call (per group)
+//	wal_append  apply end → the group's AppendIngestGroup returned, so it
+//	            brackets the whole append call: registry fixups, shard-lock
+//	            and log-lock wait, any size-triggered rotation (per group;
+//	            a DELETE times its AppendTombstone call alone)
+//	wal_fsync   last append → a Commit that fsynced (per unit of work;
+//	            a commit with nothing to sync is no observation)
+type stageID uint8
+
 const (
-	stageDecode    = "decode"     // body read + JSON/binary parse
-	stageUpdate    = "update"     // shard lookup + stream lock + incremental update
-	stageRender    = "render"     // response encode + write
-	stageCacheHit  = "cache_hit"  // cached query replayed from the version-keyed cache
-	stageCacheMiss = "cache_miss" // query computed from a fresh snapshot
-	stageWALAppend = "wal_append" // one WAL record framed + written to the segment
-	stageWALFsync  = "wal_fsync"  // one group-commit fsync of a shard's segment
+	stageDecode stageID = iota
+	stageUpdate
+	stageRender
+	stageCacheHit
+	stageCacheMiss
+	stageQueueWait
+	stageApply
+	stageWALAppend
+	stageWALFsync
+	numStages
 )
 
-var stageNames = []string{stageDecode, stageUpdate, stageRender, stageCacheHit, stageCacheMiss,
-	stageWALAppend, stageWALFsync}
+// stageTable maps each stage to its stage="…" label (also its key in the
+// /v1/stats and /debug/self stage blocks) and the span it records. The two
+// cache stages share the resolve span, told apart by its outcome attribute.
+var stageTable = [numStages]struct{ label, span, outcome string }{
+	stageDecode:    {"decode", "decode", ""},
+	stageUpdate:    {"update", "update", ""},
+	stageRender:    {"render", "render", ""},
+	stageCacheHit:  {"cache_hit", "resolve", "hit"},
+	stageCacheMiss: {"cache_miss", "resolve", "miss"},
+	stageQueueWait: {"queue_wait", "queue_wait", ""},
+	stageApply:     {"apply", "apply", ""},
+	stageWALAppend: {"wal_append", "wal_append", ""},
+	stageWALFsync:  {"wal_fsync", "wal_fsync", ""},
+}
+
+// MarshalText renders a stage as its label, so stage-keyed maps serialize
+// as JSON objects keyed by label.
+func (id stageID) MarshalText() ([]byte, error) { return []byte(stageTable[id].label), nil }
+
+// UnmarshalText is MarshalText's inverse.
+func (id *stageID) UnmarshalText(b []byte) error {
+	for i := range stageTable {
+		if stageTable[i].label == string(b) {
+			*id = stageID(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("server: unknown stage %q", b)
+}
+
+// stageSpan is a stage opened at its start boundary; end closes it.
+type stageSpan struct {
+	h     *obs.Histogram
+	ref   trace.SpanRef
+	start time.Time
+}
+
+// openStage opens stage id at start. On a traced request (tr non-nil) the
+// span starts now, under parent, so spans recorded before the stage closes
+// can nest under it.
+func (m *metrics) openStage(id stageID, tr *trace.Active, parent trace.SpanRef, start time.Time) stageSpan {
+	ref := tr.StartAt(stageTable[id].span, parent, start)
+	if o := stageTable[id].outcome; o != "" {
+		ref.Str("outcome", o)
+	}
+	return stageSpan{h: &m.stages[id], ref: ref, start: start}
+}
+
+// end closes the stage at end: one histogram observation and the span,
+// both over the same [start, end].
+func (sp stageSpan) end(end time.Time) trace.SpanRef {
+	sp.h.Observe(end.Sub(sp.start))
+	sp.ref.EndAt(end)
+	return sp.ref
+}
+
+// closeStage records stage id over [start, end] in one call.
+func (m *metrics) closeStage(id stageID, tr *trace.Active, parent trace.SpanRef, start, end time.Time) trace.SpanRef {
+	return m.openStage(id, tr, parent, start).end(end)
+}
+
+// closeGroupStage records stage id over [start, end] for one coalesced
+// group of ingest jobs: the histogram gets one observation for the group,
+// and every traced job still on course (no error yet) gets the same span
+// under its update span, tagged with how many jobs the group held.
+func (m *metrics) closeGroupStage(id stageID, jobs []*ingestJob, start, end time.Time) {
+	m.stages[id].Observe(end.Sub(start))
+	for _, job := range jobs {
+		if job.tr != nil && job.err == nil {
+			job.tr.RecordAt(stageTable[id].span, job.parent, start, end).
+				Int("coalesced", int64(len(jobs)))
+		}
+	}
+}
 
 // metrics holds the service's counters and histograms. Per-endpoint and
 // per-stage cells are plain atomics updated on the request path; gauges
-// derived from stream state are computed at scrape time by the /metrics
-// handler (see Server.handleMetrics), so the hot path never touches them.
+// derived from stream state are computed at scrape time by Server.collect,
+// so the hot path never touches them.
 //
-// INVARIANT: the endpoints and stages maps are built once by newMetrics
-// and never written afterwards — every route registers at mux
-// construction, before the first request. Lookups on the request path and
-// walks at scrape time therefore need no lock: a /metrics scrape can
-// never block (or be blocked by) request handling. Adding a route without
-// listing its name in newMetrics is a programming error that endpoint()
-// turns into a startup panic, not a silent data race.
+// INVARIANT: the endpoints map is built once by newMetrics and never
+// written afterwards — every route registers at mux construction, before
+// the first request — and the stage cells are a fixed array. Lookups on
+// the request path and walks at scrape time therefore need no lock: a
+// /metrics scrape can never block (or be blocked by) request handling.
+// Adding a route without listing its name in newMetrics is a programming
+// error that endpoint() turns into a startup panic, not a silent data race.
 // The hot counters are grouped by the path that bumps them, with cache-line
 // spacers between the groups: ingest-path counters share a line with each
 // other (they are bumped together, by the same goroutine per batch) but not
@@ -89,7 +185,7 @@ type metrics struct {
 
 	endpoints map[string]*endpointStats // immutable after newMetrics
 	epNames   []string                  // sorted keys of endpoints
-	stages    map[string]*obs.Histogram // immutable after newMetrics
+	stages    [numStages]obs.Histogram  // indexed by stageID
 }
 
 // endpointStats accumulates request-path cells for one route: request and
@@ -134,16 +230,12 @@ func newMetrics(endpointNames []string) *metrics {
 		start:     time.Now(),
 		build:     readBuildInfo(),
 		endpoints: make(map[string]*endpointStats, len(endpointNames)),
-		stages:    make(map[string]*obs.Histogram, len(stageNames)),
 	}
 	for _, name := range endpointNames {
 		m.endpoints[name] = &endpointStats{}
 	}
 	m.epNames = append(m.epNames, endpointNames...)
 	sort.Strings(m.epNames)
-	for _, name := range stageNames {
-		m.stages[name] = &obs.Histogram{}
-	}
 	return m
 }
 
@@ -158,15 +250,6 @@ func (m *metrics) endpoint(name string) *endpointStats {
 	return ep
 }
 
-// stage returns the histogram for a hot-path timing span.
-func (m *metrics) stage(name string) *obs.Histogram {
-	h := m.stages[name]
-	if h == nil {
-		panic(fmt.Sprintf("server: stage %q not pre-registered in newMetrics", name))
-	}
-	return h
-}
-
 func (ep *endpointStats) observe(d time.Duration, status int) {
 	ep.requests.Add(1)
 	if status >= 400 {
@@ -175,18 +258,16 @@ func (ep *endpointStats) observe(d time.Duration, status int) {
 	ep.latency.Observe(d)
 }
 
-// gauges are scrape-time values aggregated over all live streams, plus the
-// load-shedding readings sampled from the per-class limiters.
-type gauges struct {
-	streams    int64
-	inWindow   int64
-	reex       int64
-	drift      int64
-	violations int64
+// ---- the scrape snapshot ------------------------------------------------------
 
-	shedIngest, shedRead         uint64 // requests turned away, cumulative
-	limitIngest, limitRead       int64  // configured caps (0 = unlimited)
-	inflightIngest, inflightRead int64  // currently executing requests
+// gauges is the one scrape-time snapshot behind every observability
+// surface: metrics.write renders it as Prometheus text and /v1/stats
+// embeds its blocks as JSON. Server.collect is the only code that reads
+// these counters (its tenant rows come from tenantReadings, which
+// /v1/tenants serves alone), so the surfaces cannot disagree.
+type gauges struct {
+	streams streamGauges
+	limits  map[string]classLimitJSON // "ingest" and "read"
 
 	// queueDepths samples each shard's ingest ring occupancy at scrape
 	// time; nil when the async pipeline is off.
@@ -202,22 +283,102 @@ type gauges struct {
 
 	// tenants carries the per-tenant QoS counters, sampled per scrape.
 	// Always non-empty (the default tenant exists unconditionally).
-	tenants []tenantGauges
+	tenants []tenantJSON
 }
 
-// tenantGauges is one tenant's QoS reading at scrape time: the admission
-// counter quartet, the live stream count against the quota, and the
-// request latency distribution. slo rides along as a second metric label
-// so per-class aggregation needs no join.
-type tenantGauges struct {
-	name      string
-	slo       string
-	admitted  uint64
-	throttled uint64
-	shed      uint64
-	degraded  uint64
-	streams   int64
-	latency   obs.HistSnapshot
+// streamGauges aggregates every live stream's state.
+type streamGauges struct {
+	Count           int64 `json:"count"`
+	SamplesInWindow int64 `json:"samples_in_window"`
+	Reextractions   int64 `json:"reextractions"`
+	Drift           int64 `json:"drift"`
+	Violations      int64 `json:"violations"`
+}
+
+// classLimitJSON reports one endpoint class's load-shedding state.
+type classLimitJSON struct {
+	Limit    int64  `json:"limit"` // 0 = unlimited
+	Inflight int64  `json:"inflight"`
+	Shed     uint64 `json:"shed"`
+}
+
+// walGauges is the durability block: the wcmd_wal_* / wcmd_recovery_*
+// series and /v1/stats "wal".
+type walGauges struct {
+	BytesTotal       uint64 `json:"bytes_total"`
+	AppendsTotal     uint64 `json:"appends_total"`
+	FsyncsTotal      uint64 `json:"fsyncs_total"`
+	TornTails        uint64 `json:"torn_tails"`
+	ReplayedBatches  uint64 `json:"replayed_batches"`
+	ReplayedSamples  uint64 `json:"replayed_samples"`
+	RecoveredStreams uint64 `json:"recovered_streams"`
+	CleanStart       bool   `json:"clean_start"`
+}
+
+// traceGauges is the tracing block: the wcmd_trace_* series and /v1/stats
+// "trace".
+type traceGauges struct {
+	Kept            uint64 `json:"kept"`
+	Dropped         uint64 `json:"dropped"`
+	Sampled         uint64 `json:"sampled"`
+	Evicted         uint64 `json:"evicted"`
+	TruncatedSpans  uint64 `json:"truncated_spans"`
+	StoreBytes      int64  `json:"store_bytes"`
+	StoreBytesLimit int64  `json:"store_bytes_limit"`
+}
+
+// collect takes the scrape snapshot. Stream entries are gathered under the
+// shard locks and their stats read after releasing them: Stats takes each
+// stream's own lock, and holding a shard lock across that would stall
+// ingests into sibling streams.
+func (s *Server) collect() gauges {
+	var entries []*entry
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, e := range sh.streams {
+			entries = append(entries, e)
+		}
+		sh.mu.RUnlock()
+	}
+	var g gauges
+	for _, e := range entries {
+		stats := e.st.Stats()
+		g.streams.Count++
+		g.streams.SamplesInWindow += int64(stats.InWindow)
+		g.streams.Reextractions += stats.Reextractions
+		g.streams.Drift += stats.Drift
+		g.streams.Violations += stats.Violations
+	}
+	g.limits = map[string]classLimitJSON{
+		"ingest": {Limit: s.limIngest.Limit(), Inflight: s.limIngest.Inflight(), Shed: s.limIngest.Shed()},
+		"read":   {Limit: s.limRead.Limit(), Inflight: s.limRead.Inflight(), Shed: s.limRead.Shed()},
+	}
+	g.queueDepths = s.asyncDepths()
+	if s.wal != nil {
+		g.wal = &walGauges{
+			BytesTotal:       s.wal.BytesAppended(),
+			AppendsTotal:     s.wal.Appends(),
+			FsyncsTotal:      s.wal.Fsyncs(),
+			TornTails:        s.wal.TornTails(),
+			ReplayedBatches:  s.recovered.batches.Load(),
+			ReplayedSamples:  s.recovered.samples.Load(),
+			RecoveredStreams: s.recovered.streams.Load(),
+			CleanStart:       s.wal.CleanStart(),
+		}
+	}
+	if s.tracer != nil {
+		g.trace = &traceGauges{
+			Kept:            s.tracer.Kept(),
+			Dropped:         s.tracer.Dropped(),
+			Sampled:         s.tracer.Sampled(),
+			Evicted:         s.tracer.Evicted(),
+			TruncatedSpans:  s.tracer.TruncatedSpans(),
+			StoreBytes:      s.tracer.StoreBytes(),
+			StoreBytesLimit: s.tracer.StoreLimit(),
+		}
+	}
+	g.tenants = s.tenantReadings()
+	return g
 }
 
 // ---- Prometheus text exposition ---------------------------------------------
@@ -263,22 +424,38 @@ var emittedBuckets = func() []int {
 // float64 round-trip representation.
 func formatLe(s float64) string { return strconv.FormatFloat(s, 'g', -1, 64) }
 
-// writeHistogramFamily emits one histogram metric family with a single
-// variable label. rows maps label value → snapshot, emitted in name order.
-func writeHistogramFamily(w io.Writer, family, help, label string, names []string,
-	snap func(string) obs.HistSnapshot) {
+// histRow is one series of a latency histogram family: its rendered label
+// set (`endpoint="ingest"`, `tenant="a",slo="batch"`) and its snapshot.
+type histRow struct {
+	labels string
+	snap   obs.HistSnapshot
+}
+
+// writeHistogramFamily emits one latency histogram metric family, one
+// series per row, in row order.
+func writeHistogramFamily(w io.Writer, family, help string, rows []histRow) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", family, help, family)
-	for _, name := range names {
-		s := snap(name)
-		lv := escapeLabel(name)
+	for _, r := range rows {
 		for _, i := range emittedBuckets {
-			fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"%s\"} %d\n",
-				family, label, lv, formatLe(obs.UpperBoundSeconds(i)), s.CumulativeCount(i))
+			fmt.Fprintf(w, "%s_bucket{%s,le=\"%s\"} %d\n",
+				family, r.labels, formatLe(obs.UpperBoundSeconds(i)), r.snap.CumulativeCount(i))
 		}
-		fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"+Inf\"} %d\n", family, label, lv, s.Count)
-		fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %g\n", family, label, lv, s.SumSeconds())
-		fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", family, label, lv, s.Count)
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", family, r.labels, r.snap.Count)
+		fmt.Fprintf(w, "%s_sum{%s} %g\n", family, r.labels, r.snap.SumSeconds())
+		fmt.Fprintf(w, "%s_count{%s} %d\n", family, r.labels, r.snap.Count)
 	}
+}
+
+// writeCountHistFamily emits one unlabelled count histogram (obs.CountHist).
+func writeCountHistFamily(w io.Writer, family, help string, s obs.CountHistSnapshot) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", family, help, family)
+	for i := 0; i < obs.CountNumBuckets; i++ {
+		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n",
+			family, formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
+	}
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", family, s.Count)
+	fmt.Fprintf(w, "%s_sum %d\n", family, s.Sum)
+	fmt.Fprintf(w, "%s_count %d\n", family, s.Count)
 }
 
 // quantiles reported in /metrics and /v1/stats.
@@ -315,15 +492,15 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		"wcmd_query_binary_total", m.binaryQueries.Load())
 	emit("Parameterized query cache maps restarted at the entry cap.", "counter",
 		"wcmd_query_cache_epoch_resets_total", m.epochResets.Load())
-	emit("Live streams.", "gauge", "wcmd_streams", g.streams)
+	emit("Live streams.", "gauge", "wcmd_streams", g.streams.Count)
 	emit("Samples currently inside sliding windows, summed over streams.", "gauge",
-		"wcmd_samples_in_window", g.inWindow)
+		"wcmd_samples_in_window", g.streams.SamplesInWindow)
 	emit("Full batch re-extractions run as correctness anchors.", "counter",
-		"wcmd_reextractions_total", g.reex)
+		"wcmd_reextractions_total", g.streams.Reextractions)
 	emit("Anchor re-extractions that disagreed with the incremental state (expect 0).",
-		"counter", "wcmd_reextraction_drift_total", g.drift)
+		"counter", "wcmd_reextraction_drift_total", g.streams.Drift)
 	emit("Contract violations observed, summed over streams.", "counter",
-		"wcmd_contract_violations_total", g.violations)
+		"wcmd_contract_violations_total", g.streams.Violations)
 	emit("Handler panics caught by the recovery barrier.", "counter",
 		"wcmd_panics_total", m.panics.Load())
 	emit("Responses served from a stale cached snapshot, marked degraded.", "counter",
@@ -331,40 +508,26 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	emit("Seconds since the server started.", "gauge",
 		"wcmd_uptime_seconds", fmt.Sprintf("%.3f", time.Since(m.start).Seconds()))
 
+	ing, rd := g.limits["ingest"], g.limits["read"]
 	fmt.Fprintf(w, "# HELP wcmd_shed_total Requests turned away by the in-flight limiter, by endpoint class.\n"+
 		"# TYPE wcmd_shed_total counter\n"+
 		"wcmd_shed_total{class=\"ingest\"} %d\nwcmd_shed_total{class=\"read\"} %d\n",
-		g.shedIngest, g.shedRead)
+		ing.Shed, rd.Shed)
 	fmt.Fprintf(w, "# HELP wcmd_inflight_limit Configured in-flight request cap, by endpoint class (0 = unlimited).\n"+
 		"# TYPE wcmd_inflight_limit gauge\n"+
 		"wcmd_inflight_limit{class=\"ingest\"} %d\nwcmd_inflight_limit{class=\"read\"} %d\n",
-		g.limitIngest, g.limitRead)
+		ing.Limit, rd.Limit)
 	fmt.Fprintf(w, "# HELP wcmd_inflight_requests Currently executing requests, by endpoint class.\n"+
 		"# TYPE wcmd_inflight_requests gauge\n"+
 		"wcmd_inflight_requests{class=\"ingest\"} %d\nwcmd_inflight_requests{class=\"read\"} %d\n",
-		g.inflightIngest, g.inflightRead)
+		ing.Inflight, rd.Inflight)
 
 	if s := m.coalesce.Snapshot(); s.Count > 0 || g.queueDepths != nil {
-		fmt.Fprintf(w, "# HELP wcmd_ingest_coalesce_batches Ingest batches fused per async worker wakeup (1 = no coalescing).\n"+
-			"# TYPE wcmd_ingest_coalesce_batches histogram\n")
-		for i := 0; i < obs.CountNumBuckets; i++ {
-			fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"%s\"} %d\n",
-				formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
-		}
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"+Inf\"} %d\n", s.Count)
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_sum %d\n", s.Sum)
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_count %d\n", s.Count)
+		writeCountHistFamily(w, "wcmd_ingest_coalesce_batches",
+			"Ingest batches fused per async worker wakeup (1 = no coalescing).", s)
 	}
 	if s := m.batchStreams.Snapshot(); s.Count > 0 {
-		fmt.Fprintf(w, "# HELP wcmd_query_batch_streams Streams answered per /v1/query request.\n"+
-			"# TYPE wcmd_query_batch_streams histogram\n")
-		for i := 0; i < obs.CountNumBuckets; i++ {
-			fmt.Fprintf(w, "wcmd_query_batch_streams_bucket{le=\"%s\"} %d\n",
-				formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
-		}
-		fmt.Fprintf(w, "wcmd_query_batch_streams_bucket{le=\"+Inf\"} %d\n", s.Count)
-		fmt.Fprintf(w, "wcmd_query_batch_streams_sum %d\n", s.Sum)
-		fmt.Fprintf(w, "wcmd_query_batch_streams_count %d\n", s.Count)
+		writeCountHistFamily(w, "wcmd_query_batch_streams", "Streams answered per /v1/query request.", s)
 	}
 	if g.queueDepths != nil {
 		fmt.Fprintf(w, "# HELP wcmd_ingest_queue_depth Enqueued ingest jobs waiting in each shard's ring at scrape time.\n"+
@@ -376,92 +539,75 @@ func (m *metrics) write(w io.Writer, g gauges) {
 
 	if g.trace != nil {
 		emit("Finished traces retained by tail-based sampling.", "counter",
-			"wcmd_trace_kept_total", g.trace.kept)
+			"wcmd_trace_kept_total", g.trace.Kept)
 		emit("Finished traces discarded (ordinary and not sampled).", "counter",
-			"wcmd_trace_dropped_total", g.trace.dropped)
+			"wcmd_trace_dropped_total", g.trace.Dropped)
 		emit("Traces kept by the 1-in-N sampler alone (no anomaly).", "counter",
-			"wcmd_trace_sampled_total", g.trace.sampled)
+			"wcmd_trace_sampled_total", g.trace.Sampled)
 		emit("Stored traces evicted to keep the store inside its byte cap.", "counter",
-			"wcmd_trace_evicted_total", g.trace.evicted)
+			"wcmd_trace_evicted_total", g.trace.Evicted)
 		emit("Spans dropped because a trace hit its span cap.", "counter",
-			"wcmd_trace_truncated_spans_total", g.trace.truncated)
+			"wcmd_trace_truncated_spans_total", g.trace.TruncatedSpans)
 		emit("Bytes currently retained by the trace store.", "gauge",
-			"wcmd_trace_store_bytes", g.trace.storeBytes)
+			"wcmd_trace_store_bytes", g.trace.StoreBytes)
 		emit("Hard cap on trace store memory (oldest traces evicted).", "gauge",
-			"wcmd_trace_store_bytes_limit", g.trace.storeLimit)
+			"wcmd_trace_store_bytes_limit", g.trace.StoreBytesLimit)
 		if s := m.traceSpans.Snapshot(); s.Count > 0 {
-			fmt.Fprintf(w, "# HELP wcmd_trace_spans Spans recorded per traced request.\n"+
-				"# TYPE wcmd_trace_spans histogram\n")
-			for i := 0; i < obs.CountNumBuckets; i++ {
-				fmt.Fprintf(w, "wcmd_trace_spans_bucket{le=\"%s\"} %d\n",
-					formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
-			}
-			fmt.Fprintf(w, "wcmd_trace_spans_bucket{le=\"+Inf\"} %d\n", s.Count)
-			fmt.Fprintf(w, "wcmd_trace_spans_sum %d\n", s.Sum)
-			fmt.Fprintf(w, "wcmd_trace_spans_count %d\n", s.Count)
+			writeCountHistFamily(w, "wcmd_trace_spans", "Spans recorded per traced request.", s)
 		}
 	}
 
 	if len(g.tenants) > 0 {
-		tenantCounter := func(family, help string, v func(tenantGauges) uint64) {
+		labels := make([]string, len(g.tenants))
+		for i, t := range g.tenants {
+			labels[i] = fmt.Sprintf("tenant=\"%s\",slo=\"%s\"", escapeLabel(t.Name), escapeLabel(t.SLO))
+		}
+		tenantCounter := func(family, help string, v func(tenantJSON) uint64) {
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", family, help, family)
-			for _, t := range g.tenants {
-				fmt.Fprintf(w, "%s{tenant=\"%s\",slo=\"%s\"} %d\n",
-					family, escapeLabel(t.name), escapeLabel(t.slo), v(t))
+			for i, t := range g.tenants {
+				fmt.Fprintf(w, "%s{%s} %d\n", family, labels[i], v(t))
 			}
 		}
 		tenantCounter("wcmd_tenant_admitted_total",
 			"Requests that passed tenant rate admission, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.admitted })
+			func(t tenantJSON) uint64 { return t.Admitted })
 		tenantCounter("wcmd_tenant_throttled_total",
 			"Requests rejected by the tenant's token bucket, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.throttled })
+			func(t tenantJSON) uint64 { return t.Throttled })
 		tenantCounter("wcmd_tenant_shed_total",
 			"Requests turned away by SLO-ordered in-flight shedding, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.shed })
+			func(t tenantJSON) uint64 { return t.Shed })
 		tenantCounter("wcmd_tenant_degraded_total",
 			"Throttled or shed reads still answered from the cached degraded path, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.degraded })
+			func(t tenantJSON) uint64 { return t.Degraded })
 		fmt.Fprintf(w, "# HELP wcmd_tenant_streams Live streams owned by each tenant.\n"+
 			"# TYPE wcmd_tenant_streams gauge\n")
-		for _, t := range g.tenants {
-			fmt.Fprintf(w, "wcmd_tenant_streams{tenant=\"%s\",slo=\"%s\"} %d\n",
-				escapeLabel(t.name), escapeLabel(t.slo), t.streams)
+		rows := make([]histRow, len(g.tenants))
+		for i, t := range g.tenants {
+			fmt.Fprintf(w, "wcmd_tenant_streams{%s} %d\n", labels[i], t.Streams)
+			rows[i] = histRow{labels[i], t.hist}
 		}
-		fmt.Fprintf(w, "# HELP wcmd_tenant_request_latency_seconds Handler latency distribution, by tenant and SLO class.\n"+
-			"# TYPE wcmd_tenant_request_latency_seconds histogram\n")
-		for _, t := range g.tenants {
-			lt, ls := escapeLabel(t.name), escapeLabel(t.slo)
-			for _, i := range emittedBuckets {
-				fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_bucket{tenant=\"%s\",slo=\"%s\",le=\"%s\"} %d\n",
-					lt, ls, formatLe(obs.UpperBoundSeconds(i)), t.latency.CumulativeCount(i))
-			}
-			fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_bucket{tenant=\"%s\",slo=\"%s\",le=\"+Inf\"} %d\n",
-				lt, ls, t.latency.Count)
-			fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_sum{tenant=\"%s\",slo=\"%s\"} %g\n",
-				lt, ls, t.latency.SumSeconds())
-			fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_count{tenant=\"%s\",slo=\"%s\"} %d\n",
-				lt, ls, t.latency.Count)
-		}
+		writeHistogramFamily(w, "wcmd_tenant_request_latency_seconds",
+			"Handler latency distribution, by tenant and SLO class.", rows)
 	}
 
 	if g.wal != nil {
 		emit("Bytes appended to the write-ahead log.", "counter",
-			"wcmd_wal_bytes_total", g.wal.bytes)
+			"wcmd_wal_bytes_total", g.wal.BytesTotal)
 		emit("Records appended to the write-ahead log.", "counter",
-			"wcmd_wal_appends_total", g.wal.appends)
+			"wcmd_wal_appends_total", g.wal.AppendsTotal)
 		emit("Group-commit fsyncs of WAL segments.", "counter",
-			"wcmd_wal_fsyncs_total", g.wal.fsyncs)
+			"wcmd_wal_fsyncs_total", g.wal.FsyncsTotal)
 		emit("Torn WAL tails truncated during recovery (expect 0 or 1 per crash).", "counter",
-			"wcmd_wal_torn_tails_total", g.wal.torn)
+			"wcmd_wal_torn_tails_total", g.wal.TornTails)
 		emit("Ingest batches replayed from the WAL at boot.", "counter",
-			"wcmd_recovery_replayed_batches", g.wal.replayedBatches)
+			"wcmd_recovery_replayed_batches", g.wal.ReplayedBatches)
 		emit("Demand samples replayed from the WAL at boot.", "counter",
-			"wcmd_recovery_replayed_samples", g.wal.replayedSamples)
+			"wcmd_recovery_replayed_samples", g.wal.ReplayedSamples)
 		emit("Streams restored from snapshots and WAL replay at boot.", "counter",
-			"wcmd_recovery_streams", g.wal.recoveredStreams)
+			"wcmd_recovery_streams", g.wal.RecoveredStreams)
 		clean := 0
-		if g.wal.cleanStart {
+		if g.wal.CleanStart {
 			clean = 1
 		}
 		emit("Whether this boot found a clean-shutdown marker (1) or ran crash recovery (0).",
@@ -484,21 +630,195 @@ func (m *metrics) write(w io.Writer, g gauges) {
 			escapeLabel(name), m.endpoints[name].errors.Load())
 	}
 
+	rows := make([]histRow, len(m.epNames))
+	for i, name := range m.epNames {
+		rows[i] = histRow{fmt.Sprintf("endpoint=\"%s\"", escapeLabel(name)), m.endpoints[name].latency.Snapshot()}
+	}
 	writeHistogramFamily(w, "wcmd_request_latency_seconds",
-		"Handler latency distribution, by endpoint.", "endpoint", m.epNames,
-		func(name string) obs.HistSnapshot { return m.endpoints[name].latency.Snapshot() })
+		"Handler latency distribution, by endpoint.", rows)
 	fmt.Fprintf(w, "# HELP wcmd_request_latency_quantile_seconds Estimated handler latency quantiles, by endpoint.\n"+
 		"# TYPE wcmd_request_latency_quantile_seconds gauge\n")
-	for _, name := range m.epNames {
-		s := m.endpoints[name].latency.Snapshot()
+	for _, r := range rows {
 		for _, rq := range reportedQuantiles {
-			fmt.Fprintf(w, "wcmd_request_latency_quantile_seconds{endpoint=\"%s\",quantile=\"%s\"} %g\n",
-				escapeLabel(name), rq.label, s.Quantile(rq.q))
+			fmt.Fprintf(w, "wcmd_request_latency_quantile_seconds{%s,quantile=\"%s\"} %g\n",
+				r.labels, rq.label, r.snap.Quantile(rq.q))
 		}
 	}
 
+	rows = make([]histRow, numStages)
+	for id := range rows {
+		rows[id] = histRow{"stage=\"" + stageTable[id].label + "\"", m.stages[id].Snapshot()}
+	}
 	writeHistogramFamily(w, "wcmd_stage_latency_seconds",
-		"Hot-path stage latency distribution (decode/update/render, cache hit/miss).",
-		"stage", stageNames,
-		func(name string) obs.HistSnapshot { return m.stages[name].Snapshot() })
+		"Pipeline stage latency distribution (decode/update/render, cache hit/miss, queue wait, apply, WAL append/fsync).",
+		rows)
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.metrics.write(w, s.collect())
+}
+
+// ---- JSON surfaces ------------------------------------------------------------
+
+// latencyStatsJSON summarizes one histogram for /v1/stats. Requests/Errors
+// are zero for stage rows (stages count spans, not requests).
+type latencyStatsJSON struct {
+	Count       uint64  `json:"count"`
+	Errors      uint64  `json:"errors,omitempty"`
+	MeanSeconds float64 `json:"mean_seconds"`
+	P50Seconds  float64 `json:"p50_seconds"`
+	P95Seconds  float64 `json:"p95_seconds"`
+	P99Seconds  float64 `json:"p99_seconds"`
+}
+
+func latencyStatsFrom(snap obs.HistSnapshot, errors uint64) latencyStatsJSON {
+	out := latencyStatsJSON{
+		Count:      snap.Count,
+		Errors:     errors,
+		P50Seconds: snap.Quantile(0.50),
+		P95Seconds: snap.Quantile(0.95),
+		P99Seconds: snap.Quantile(0.99),
+	}
+	if snap.Count > 0 {
+		out.MeanSeconds = snap.SumSeconds() / float64(snap.Count)
+	}
+	return out
+}
+
+type statsResponse struct {
+	UptimeSeconds float64                      `json:"uptime_seconds"`
+	Panics        uint64                       `json:"panics"`
+	Degraded      uint64                       `json:"degraded"`
+	Limits        map[string]classLimitJSON    `json:"limits"`
+	Streams       streamGauges                 `json:"streams"`
+	QueueDepths   []int                        `json:"queue_depths,omitempty"`
+	WAL           *walGauges                   `json:"wal,omitempty"`
+	Trace         *traceGauges                 `json:"trace,omitempty"`
+	Tenants       map[string]tenantJSON        `json:"tenants"`
+	Endpoints     map[string]latencyStatsJSON  `json:"endpoints"`
+	Stages        map[stageID]latencyStatsJSON `json:"stages"`
+}
+
+// handleStats serves the scrape snapshot and the histogram summaries as
+// JSON — the same readings the Prometheus exposition carries, for humans
+// with curl and no scraper. Endpoints and stages that have seen no traffic
+// are omitted.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	g := s.collect()
+	resp := statsResponse{
+		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
+		Panics:        s.metrics.panics.Load(),
+		Degraded:      s.metrics.degraded.Load(),
+		Limits:        g.limits,
+		Streams:       g.streams,
+		QueueDepths:   g.queueDepths,
+		WAL:           g.wal,
+		Trace:         g.trace,
+		Tenants:       make(map[string]tenantJSON, len(g.tenants)),
+		Endpoints:     make(map[string]latencyStatsJSON),
+		Stages:        make(map[stageID]latencyStatsJSON),
+	}
+	for _, t := range g.tenants {
+		resp.Tenants[t.Name] = t
+	}
+	for _, name := range s.metrics.epNames {
+		ep := s.metrics.endpoints[name]
+		if ep.requests.Load() == 0 {
+			continue
+		}
+		resp.Endpoints[name] = latencyStatsFrom(ep.latency.Snapshot(), ep.errors.Load())
+	}
+	for id := range s.metrics.stages {
+		if hs := s.metrics.stages[id].Snapshot(); hs.Count > 0 {
+			resp.Stages[stageID(id)] = latencyStatsFrom(hs, 0)
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// selfResponse is the service's own workload characterization: the curves
+// of paper Definition 1 extracted from the per-request handler costs.
+// Demand units are µs of handler time, so gamma_hz ≈ 1e6 corresponds to one
+// fully-busy worker; saving is the eq. (9) vs eq. (10) frequency ratio.
+type selfResponse struct {
+	Observed uint64  `json:"observed"` // requests fed into the self stream
+	Total    int64   `json:"total"`
+	InWindow int     `json:"in_window"`
+	UpperUs  []int64 `json:"upper_us"` // γᵘ(k), µs, index = k
+	LowerUs  []int64 `json:"lower_us"` // γˡ(k), µs, index = k
+	GammaHz  float64 `json:"gamma_hz"` // eq. (9) minimum frequency
+	WCETHz   float64 `json:"wcet_hz"`  // eq. (10) WCET-based bound
+	Saving   float64 `json:"saving"`
+	Buffer   int     `json:"buffer"`
+
+	// Stages breaks the demand down by pipeline stage — where the cycles
+	// the curves above characterize are actually spent. Read from the same
+	// stage histograms /metrics and /v1/stats render; stages with no
+	// traffic are omitted.
+	Stages map[stageID]selfStageJSON `json:"stages,omitempty"`
+}
+
+// selfStageJSON is one pipeline stage's contribution to the self demand.
+type selfStageJSON struct {
+	Count   uint64  `json:"count"`
+	TotalUs float64 `json:"total_us"`
+	MeanUs  float64 `json:"mean_us"`
+}
+
+// handleSelf serves the self-characterization stream: the server applies
+// the paper's workload model to its own request costs. 404 unless the
+// server was built with Config.SelfCurves; 409 until a request has been
+// observed. Accepts ?b=N like /minfreq (default 1).
+func (s *Server) handleSelf(w http.ResponseWriter, r *http.Request) {
+	if s.self == nil {
+		writeJSON(w, http.StatusNotFound,
+			errorResponse{"self-characterization disabled; start with -self-curves"})
+		return
+	}
+	b := 1
+	if q := r.URL.Query().Get("b"); q != "" {
+		v, err := strconv.Atoi(q)
+		if err != nil || v < 0 {
+			writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
+			return
+		}
+		b = v
+	}
+	snap, err := s.self.Stream().Snapshot()
+	if err != nil {
+		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
+		return
+	}
+	resp := selfResponse{
+		Observed: s.self.Observed(),
+		Total:    snap.Total,
+		InWindow: snap.InWindow,
+		UpperUs:  snap.Workload.Upper.Values(),
+		LowerUs:  snap.Workload.Lower.Values(),
+		Buffer:   b,
+	}
+	// A min-frequency failure (degenerate window) still leaves the curves
+	// worth serving; the frequency fields just stay zero.
+	if cmp, err := snap.MinFrequency(b); err == nil {
+		resp.GammaHz = cmp.Gamma.Hz
+		resp.WCETHz = cmp.WCET.Hz
+		resp.Saving = cmp.Saving
+	}
+	for id := range s.metrics.stages {
+		hs := s.metrics.stages[id].Snapshot()
+		if hs.Count == 0 {
+			continue
+		}
+		if resp.Stages == nil {
+			resp.Stages = make(map[stageID]selfStageJSON)
+		}
+		total := hs.SumSeconds() * 1e6
+		resp.Stages[stageID(id)] = selfStageJSON{
+			Count:   hs.Count,
+			TotalUs: total,
+			MeanUs:  total / float64(hs.Count),
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -282,18 +282,23 @@ func writeThrottled(w http.ResponseWriter, tenant string, secs int) {
 
 // ---- GET /v1/tenants --------------------------------------------------------
 
-// tenantJSON is one tenant's introspection record.
+// tenantJSON is one tenant's reading: its policy, its admission counters
+// and its request latency. It is a /v1/tenants row, a /v1/stats tenant
+// block, and the source of the wcmd_tenant_* series.
 type tenantJSON struct {
-	Name       string  `json:"name"`
-	SLO        string  `json:"slo"`
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	Burst      int     `json:"burst,omitempty"`
-	MaxStreams int64   `json:"max_streams,omitempty"`
-	Streams    int64   `json:"streams"`
-	Admitted   uint64  `json:"admitted"`
-	Throttled  uint64  `json:"throttled"`
-	Shed       uint64  `json:"shed"`
-	Degraded   uint64  `json:"degraded"`
+	Name       string           `json:"name"`
+	SLO        string           `json:"slo"`
+	RatePerSec float64          `json:"rate_per_sec,omitempty"`
+	Burst      int              `json:"burst,omitempty"`
+	MaxStreams int64            `json:"max_streams,omitempty"`
+	Streams    int64            `json:"streams"`
+	Admitted   uint64           `json:"admitted"`
+	Throttled  uint64           `json:"throttled"`
+	Shed       uint64           `json:"shed"`
+	Degraded   uint64           `json:"degraded"`
+	Latency    latencyStatsJSON `json:"latency"`
+
+	hist obs.HistSnapshot // the full distribution behind Latency
 }
 
 type tenantsResponse struct {
@@ -305,13 +310,20 @@ type tenantsResponse struct {
 // tenant (plus the default) with its policy and counters. classNone —
 // like /metrics, it must answer exactly when the service is drowning.
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	resp := tenantsResponse{
+	writeJSON(w, http.StatusOK, tenantsResponse{
 		DefaultSLO: s.qos.def.slo.String(),
-		Tenants:    make([]tenantJSON, 0, len(s.qos.names)),
-	}
+		Tenants:    s.tenantReadings(),
+	})
+}
+
+// tenantReadings samples every tenant, in name order: the tenant block of
+// the scrape snapshot (see Server.collect).
+func (s *Server) tenantReadings() []tenantJSON {
+	out := make([]tenantJSON, 0, len(s.qos.names))
 	for _, name := range s.qos.names {
 		t := s.qos.state(name)
-		resp.Tenants = append(resp.Tenants, tenantJSON{
+		hist := t.latency.Snapshot()
+		out = append(out, tenantJSON{
 			Name:       name,
 			SLO:        t.slo.String(),
 			RatePerSec: t.rate,
@@ -322,26 +334,8 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			Throttled:  t.throttled.Load(),
 			Shed:       t.shed.Load(),
 			Degraded:   t.degraded.Load(),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// tenantGaugesNow samples every tenant's counters for the /metrics scrape
-// and the /v1/stats tenants block.
-func (s *Server) tenantGaugesNow() []tenantGauges {
-	out := make([]tenantGauges, 0, len(s.qos.names))
-	for _, name := range s.qos.names {
-		t := s.qos.state(name)
-		out = append(out, tenantGauges{
-			name:      name,
-			slo:       t.slo.String(),
-			admitted:  t.admitted.Load(),
-			throttled: t.throttled.Load(),
-			shed:      t.shed.Load(),
-			degraded:  t.degraded.Load(),
-			streams:   t.streams.Load(),
-			latency:   t.latency.Snapshot(),
+			Latency:    latencyStatsFrom(hist, 0),
+			hist:       hist,
 		})
 	}
 	return out

@@ -31,9 +31,10 @@
 // trace ID — the client's X-Request-Id when present, generated otherwise —
 // echoed on the response and attached to a request-scoped slog.Logger that
 // handlers reach via obs.LoggerFrom(r.Context()). Latency lands in
-// lock-free log-bucketed histograms per endpoint and per hot-path stage
-// (decode/update/render, cache hit/miss), exported as Prometheus
-// histograms with p50/p95/p99 estimates. Requests slower than
+// lock-free log-bucketed histograms per endpoint and per pipeline stage
+// (decode/update/render, cache hit/miss, queue wait, apply, WAL
+// append/fsync; see stageTable), exported as Prometheus histograms with
+// p50/p95/p99 estimates. Requests slower than
 // Config.SlowRequest are logged at Warn with their trace ID. With
 // Config.SelfCurves the server additionally feeds each request's measured
 // cost into a built-in CurveStream and serves its own γᵘ/γˡ — the paper's
@@ -232,11 +233,6 @@ type Server struct {
 	recovered  recoveryStats
 	ckStop     chan struct{} // closes the checkpoint loop
 	ckDone     chan struct{} // checkpoint loop exited
-
-	// Hot-path stage histograms, resolved once so handlers skip the
-	// stage-name map lookup per request.
-	stDecode, stUpdate, stRender *obs.Histogram
-	stCacheHit, stCacheMiss      *obs.Histogram
 }
 
 // Entry registry states (see entry.state). An entry starts live; leaving
@@ -344,11 +340,6 @@ func New(cfg Config) (*Server, error) {
 	// Tracing needs the request scope reachable from handler and worker
 	// contexts, so it forces the context wrap even with no deadline/logger.
 	s.bareCtx = cfg.RequestTimeout <= 0 && s.logger == obs.Discard() && s.tracer == nil
-	s.stDecode = s.metrics.stage(stageDecode)
-	s.stUpdate = s.metrics.stage(stageUpdate)
-	s.stRender = s.metrics.stage(stageRender)
-	s.stCacheHit = s.metrics.stage(stageCacheHit)
-	s.stCacheMiss = s.metrics.stage(stageCacheMiss)
 	for i := range s.shards {
 		s.shards[i] = &shard{streams: make(map[string]*entry)}
 	}
@@ -761,9 +752,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tDecoded := time.Now()
-	s.stDecode.Observe(tDecoded.Sub(tStart))
 	tr := obs.TraceFrom(r.Context())
-	tr.RecordAt("decode", tr.Root(), tStart, tDecoded)
+	s.metrics.closeStage(stageDecode, tr, tr.Root(), tStart, tDecoded)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -787,27 +777,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Hand the job to the tail (see async.go): onto the shard's ring, or —
 	// with no ring to take it — through the same group apply and commit
-	// inline, as a group of one. The update span opens here and closes when
-	// the handler resumes, so it brackets the tail's queue_wait/apply/WAL
-	// children: exactly the time the stream update takes from this
+	// inline, as a group of one. The update stage opens here and closes
+	// when the handler resumes, so it brackets the tail's queue_wait/apply/
+	// WAL children: exactly the time the stream update takes from this
 	// request's view.
 	job := jobPool.Get().(*ingestJob)
 	job.e, job.id, job.created = e, id, created
 	job.ts, job.ds = ts, ds
 	job.res, job.err, job.errCode = stream.IngestResult{}, nil, 0
 	job.scope = obs.FromContext(r.Context())
-	var upd trace.SpanRef
-	if tr != nil {
-		upd = tr.StartAt("update", tr.Root(), tDecoded)
-		job.tr, job.parent, job.enq = tr, upd, tDecoded
-	}
+	upd := s.metrics.openStage(stageUpdate, tr, tr.Root(), tDecoded)
+	job.tr, job.parent, job.enq = tr, upd.ref, tDecoded
 	idx := int(s.shardIndex(id))
 	queued, busy := s.enqueueIngest(idx, job, r)
 	if !queued && !busy {
 		g := &sc.groupScratch
 		g.group = append(g.group[:0], job)
-		s.applyGroup(g, idx, g.group, time.Time{})
-		s.commitUnit(idx, g.group)
+		s.commitUnit(idx, g.group, s.applyGroup(g, idx, g.group, time.Now()))
 	}
 	if !busy {
 		<-job.done // unconditional: the tail reads buffers this handler owns
@@ -818,7 +804,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	jobPool.Put(job)
 
 	tUpdated := time.Now()
-	upd.EndAt(tUpdated)
+	upd.end(tUpdated)
 	if busy {
 		if created {
 			s.dropIfEmpty(id, e)
@@ -831,7 +817,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			retryAfterFloorSeconds+p.ring.Len()/p.ring.Cap())
 		return
 	}
-	s.stUpdate.Observe(tUpdated.Sub(tDecoded))
 	if err != nil {
 		if code == 0 {
 			code = http.StatusBadRequest
@@ -848,14 +833,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			Violations: res.Violations,
 			Drift:      res.Drift,
 		})
-		s.observeRender(tr, tUpdated)
-		return
+	} else {
+		sc.out = appendIngestResponse(sc.out[:0], res)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
 	}
-	sc.out = appendIngestResponse(sc.out[:0], res)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
-	s.observeRender(tr, tUpdated)
+	s.metrics.closeStage(stageRender, tr, tr.Root(), tUpdated, time.Now())
 }
 
 // unmarshalIngest strictly decodes a JSON ingest body from pre-read bytes
@@ -910,7 +894,7 @@ func writeCached(w http.ResponseWriter, resp *cachedResp) {
 // carries one the stream lock is only waited for until then — past it the
 // call fails with stream.ErrBusy and the caller degrades (see busyFallback).
 // On a traced request it notes the settle the snapshot paid for, which
-// observeCacheMiss attaches to the resolve span.
+// observeResolve attaches to the resolve span.
 func freshSnapshot(ctx context.Context, e *entry) (snap stream.Snapshot, err error) {
 	if dl, ok := ctx.Deadline(); ok {
 		snap, err = e.st.SnapshotWithin(time.Until(dl))
@@ -1359,27 +1343,25 @@ func (s *Server) shedMinFreq(w http.ResponseWriter, r *http.Request, hint int) {
 	s.degradeOr(w, r, e, e.cache.minfreqCache(acceptsBinary(r)).getAny(s.tenantFor(r).name, b), hint)
 }
 
-// observeCacheHit / observeCacheMiss close a cached-query stage span that
-// opened at start, alongside the hit/miss counters, and record the resolve
-// span (with its hit/miss outcome) on a traced request.
-func (s *Server) observeCacheHit(ctx context.Context, start time.Time) {
-	s.metrics.cacheHits.Add(1)
-	end := time.Now()
-	s.stCacheHit.Observe(end.Sub(start))
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.RecordAt("resolve", tr.Root(), start, end).Str("outcome", "hit")
+// observeResolve closes a cached query's cache_hit or cache_miss stage,
+// opened at start, and bumps the matching counter. A miss's resolve span
+// also carries the settle its snapshot paid for (see freshSnapshot).
+func (s *Server) observeResolve(ctx context.Context, hit bool, start time.Time) {
+	id := stageCacheMiss
+	if hit {
+		id = stageCacheHit
+		s.metrics.cacheHits.Add(1)
+	} else {
+		s.metrics.cacheMisses.Add(1)
 	}
-}
-
-func (s *Server) observeCacheMiss(ctx context.Context, start time.Time) {
-	s.metrics.cacheMisses.Add(1)
-	end := time.Now()
-	s.stCacheMiss.Observe(end.Sub(start))
-	if rq := obs.FromContext(ctx); rq != nil && rq.Trace != nil {
-		sp := rq.Trace.RecordAt("resolve", rq.Trace.Root(), start, end).Str("outcome", "miss")
-		if rq.Settled > 0 {
-			sp.Int("settled", int64(rq.Settled)).Str("rebuilt", strconv.FormatBool(rq.SettleRebuilt))
-		}
+	rq := obs.FromContext(ctx)
+	var tr *trace.Active
+	if rq != nil {
+		tr = rq.Trace
+	}
+	sp := s.metrics.closeStage(id, tr, tr.Root(), start, time.Now())
+	if !hit && tr != nil && rq.Settled > 0 {
+		sp.Int("settled", int64(rq.Settled)).Str("rebuilt", strconv.FormatBool(rq.SettleRebuilt))
 	}
 }
 
@@ -1396,16 +1378,12 @@ func (s *Server) handleCurves(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, hit, err := s.resolveCurves(r.Context(), e, binary)
 	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
+		s.observeResolve(r.Context(), false, start)
 		s.busyFallback(w, r, e, err, e.cache.curvesSlot(binary).last())
 		return
 	}
 	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
+	s.observeResolve(r.Context(), hit, start)
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -1434,17 +1412,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	tenant := s.tenantFor(r).name
 	resp, hit, err := s.resolveCheck(r.Context(), e, *req, binary, tenant)
 	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
+		s.observeResolve(r.Context(), false, start)
 		key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
 		s.busyFallback(w, r, e, err, e.cache.checkCache(binary).getAny(tenant, key))
 		return
 	}
 	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
+	s.observeResolve(r.Context(), hit, start)
 }
 
 func (s *Server) handleMinFreq(w http.ResponseWriter, r *http.Request) {
@@ -1466,16 +1440,12 @@ func (s *Server) handleMinFreq(w http.ResponseWriter, r *http.Request) {
 	tenant := s.tenantFor(r).name
 	resp, hit, err := s.resolveMinFreq(r.Context(), e, b, binary, tenant)
 	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
+		s.observeResolve(r.Context(), false, start)
 		s.busyFallback(w, r, e, err, e.cache.minfreqCache(binary).getAny(tenant, b))
 		return
 	}
 	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
+	s.observeResolve(r.Context(), hit, start)
 }
 
 func (s *Server) handleContract(w http.ResponseWriter, r *http.Request) {
@@ -1531,16 +1501,12 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, hit, err := s.resolveVerdict(r.Context(), e)
 	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
+		s.observeResolve(r.Context(), false, start)
 		s.busyFallback(w, r, e, err, e.cache.verdict.last())
 		return
 	}
 	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
+	s.observeResolve(r.Context(), hit, start)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1571,7 +1537,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	idx := s.shardIndex(id)
 	sh := s.shards[idx]
+	tr := obs.TraceFrom(r.Context())
 	var walErr error
+	var tAppended time.Time
 	sh.mu.Lock()
 	e, ok := sh.streams[id]
 	if ok {
@@ -1582,7 +1550,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			// Under the shard write lock: every ingest append happens under
 			// the read lock with a not-deleted check, so no record for this
 			// incarnation can follow the tombstone.
+			t0 := time.Now()
 			walErr = s.walShards[idx].AppendTombstone(id)
+			tAppended = time.Now()
+			s.metrics.closeStage(stageWALAppend, tr, tr.Root(), t0, tAppended)
 		}
 	}
 	sh.mu.Unlock()
@@ -1592,7 +1563,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.wal != nil {
 		if walErr == nil {
-			walErr = s.walShards[idx].Commit()
+			var synced bool
+			synced, walErr = s.walShards[idx].CommitSynced()
+			if synced {
+				s.metrics.closeStage(stageWALFsync, tr, tr.Root(), tAppended, time.Now())
+			}
 		}
 		if walErr != nil {
 			// The in-memory delete already happened; surface that durability
@@ -1639,240 +1614,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, resp)
-}
-
-// latencyStatsJSON summarizes one histogram for /v1/stats. Requests/Errors
-// are zero for stage rows (stages count spans, not requests).
-type latencyStatsJSON struct {
-	Count       uint64  `json:"count"`
-	Errors      uint64  `json:"errors,omitempty"`
-	MeanSeconds float64 `json:"mean_seconds"`
-	P50Seconds  float64 `json:"p50_seconds"`
-	P95Seconds  float64 `json:"p95_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
-}
-
-func latencyStatsFrom(snap obs.HistSnapshot, errors uint64) latencyStatsJSON {
-	out := latencyStatsJSON{
-		Count:      snap.Count,
-		Errors:     errors,
-		P50Seconds: snap.Quantile(0.50),
-		P95Seconds: snap.Quantile(0.95),
-		P99Seconds: snap.Quantile(0.99),
-	}
-	if snap.Count > 0 {
-		out.MeanSeconds = snap.SumSeconds() / float64(snap.Count)
-	}
-	return out
-}
-
-// classLimitJSON reports one endpoint class's load-shedding state.
-type classLimitJSON struct {
-	Limit    int64  `json:"limit"` // 0 = unlimited
-	Inflight int64  `json:"inflight"`
-	Shed     uint64 `json:"shed"`
-}
-
-// walStatsJSON mirrors the wcmd_wal_* / wcmd_recovery_* Prometheus series
-// in the JSON stats payload, so both surfaces report the same durability
-// totals (asserted by TestStatsMetricsParity).
-type walStatsJSON struct {
-	BytesTotal       uint64 `json:"bytes_total"`
-	AppendsTotal     uint64 `json:"appends_total"`
-	FsyncsTotal      uint64 `json:"fsyncs_total"`
-	TornTails        uint64 `json:"torn_tails"`
-	ReplayedBatches  uint64 `json:"replayed_batches"`
-	ReplayedSamples  uint64 `json:"replayed_samples"`
-	RecoveredStreams uint64 `json:"recovered_streams"`
-	CleanStart       bool   `json:"clean_start"`
-}
-
-// traceStatsJSON mirrors the wcmd_trace_* series.
-type traceStatsJSON struct {
-	Kept            uint64 `json:"kept"`
-	Dropped         uint64 `json:"dropped"`
-	Sampled         uint64 `json:"sampled"`
-	Evicted         uint64 `json:"evicted"`
-	TruncatedSpans  uint64 `json:"truncated_spans"`
-	StoreBytes      int64  `json:"store_bytes"`
-	StoreBytesLimit int64  `json:"store_bytes_limit"`
-}
-
-// tenantStatsJSON is one tenant's QoS block in /v1/stats: the same
-// counters as /v1/tenants plus the latency summary.
-type tenantStatsJSON struct {
-	SLO       string           `json:"slo"`
-	Streams   int64            `json:"streams"`
-	Admitted  uint64           `json:"admitted"`
-	Throttled uint64           `json:"throttled"`
-	Shed      uint64           `json:"shed"`
-	Degraded  uint64           `json:"degraded"`
-	Latency   latencyStatsJSON `json:"latency"`
-}
-
-type statsResponse struct {
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Panics        uint64                      `json:"panics"`
-	Degraded      uint64                      `json:"degraded"`
-	Limits        map[string]classLimitJSON   `json:"limits"`
-	WAL           *walStatsJSON               `json:"wal,omitempty"`
-	Trace         *traceStatsJSON             `json:"trace,omitempty"`
-	Tenants       map[string]tenantStatsJSON  `json:"tenants"`
-	Endpoints     map[string]latencyStatsJSON `json:"endpoints"`
-	Stages        map[string]latencyStatsJSON `json:"stages"`
-}
-
-// handleStats serves the histogram summaries as JSON — the same data the
-// Prometheus exposition carries, for humans with curl and no scraper.
-// Endpoints and stages that have seen no traffic are omitted.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		Panics:        s.metrics.panics.Load(),
-		Degraded:      s.metrics.degraded.Load(),
-		Limits: map[string]classLimitJSON{
-			"ingest": {Limit: s.limIngest.Limit(), Inflight: s.limIngest.Inflight(), Shed: s.limIngest.Shed()},
-			"read":   {Limit: s.limRead.Limit(), Inflight: s.limRead.Inflight(), Shed: s.limRead.Shed()},
-		},
-		Endpoints: make(map[string]latencyStatsJSON),
-		Stages:    make(map[string]latencyStatsJSON),
-	}
-	if wg := s.walGaugesNow(); wg != nil {
-		resp.WAL = &walStatsJSON{
-			BytesTotal:       wg.bytes,
-			AppendsTotal:     wg.appends,
-			FsyncsTotal:      wg.fsyncs,
-			TornTails:        wg.torn,
-			ReplayedBatches:  wg.replayedBatches,
-			ReplayedSamples:  wg.replayedSamples,
-			RecoveredStreams: wg.recoveredStreams,
-			CleanStart:       wg.cleanStart,
-		}
-	}
-	if tg := s.traceGaugesNow(); tg != nil {
-		resp.Trace = &traceStatsJSON{
-			Kept:            tg.kept,
-			Dropped:         tg.dropped,
-			Sampled:         tg.sampled,
-			Evicted:         tg.evicted,
-			TruncatedSpans:  tg.truncated,
-			StoreBytes:      tg.storeBytes,
-			StoreBytesLimit: tg.storeLimit,
-		}
-	}
-	resp.Tenants = make(map[string]tenantStatsJSON, len(s.qos.names))
-	for _, tg := range s.tenantGaugesNow() {
-		resp.Tenants[tg.name] = tenantStatsJSON{
-			SLO:       tg.slo,
-			Streams:   tg.streams,
-			Admitted:  tg.admitted,
-			Throttled: tg.throttled,
-			Shed:      tg.shed,
-			Degraded:  tg.degraded,
-			Latency:   latencyStatsFrom(tg.latency, 0),
-		}
-	}
-	for _, name := range s.metrics.epNames {
-		ep := s.metrics.endpoints[name]
-		if ep.requests.Load() == 0 {
-			continue
-		}
-		resp.Endpoints[name] = latencyStatsFrom(ep.latency.Snapshot(), ep.errors.Load())
-	}
-	for _, name := range stageNames {
-		h := s.metrics.stages[name]
-		if h.Count() == 0 {
-			continue
-		}
-		resp.Stages[name] = latencyStatsFrom(h.Snapshot(), 0)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// selfResponse is the service's own workload characterization: the curves
-// of paper Definition 1 extracted from the per-request handler costs.
-// Demand units are µs of handler time, so gamma_hz ≈ 1e6 corresponds to one
-// fully-busy worker; saving is the eq. (9) vs eq. (10) frequency ratio.
-type selfResponse struct {
-	Observed uint64  `json:"observed"` // requests fed into the self stream
-	Total    int64   `json:"total"`
-	InWindow int     `json:"in_window"`
-	UpperUs  []int64 `json:"upper_us"` // γᵘ(k), µs, index = k
-	LowerUs  []int64 `json:"lower_us"` // γˡ(k), µs, index = k
-	GammaHz  float64 `json:"gamma_hz"` // eq. (9) minimum frequency
-	WCETHz   float64 `json:"wcet_hz"`  // eq. (10) WCET-based bound
-	Saving   float64 `json:"saving"`
-	Buffer   int     `json:"buffer"`
-
-	// Stages breaks the demand down by pipeline stage — where the cycles
-	// the curves above characterize are actually spent. Fed from the same
-	// stage timestamps the trace spans record; stages with no traffic are
-	// omitted.
-	Stages map[string]selfStageJSON `json:"stages,omitempty"`
-}
-
-// selfStageJSON is one pipeline stage's contribution to the self demand.
-type selfStageJSON struct {
-	Count   uint64  `json:"count"`
-	TotalUs float64 `json:"total_us"`
-	MeanUs  float64 `json:"mean_us"`
-}
-
-// handleSelf serves the self-characterization stream: the server applies
-// the paper's workload model to its own request costs. 404 unless the
-// server was built with Config.SelfCurves; 409 until a request has been
-// observed. Accepts ?b=N like /minfreq (default 1).
-func (s *Server) handleSelf(w http.ResponseWriter, r *http.Request) {
-	if s.self == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{"self-characterization disabled; start with -self-curves"})
-		return
-	}
-	b := 1
-	if q := r.URL.Query().Get("b"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
-			return
-		}
-		b = v
-	}
-	snap, err := s.self.Stream().Snapshot()
-	if err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
-	}
-	resp := selfResponse{
-		Observed: s.self.Observed(),
-		Total:    snap.Total,
-		InWindow: snap.InWindow,
-		UpperUs:  snap.Workload.Upper.Values(),
-		LowerUs:  snap.Workload.Lower.Values(),
-		Buffer:   b,
-	}
-	// A min-frequency failure (degenerate window) still leaves the curves
-	// worth serving; the frequency fields just stay zero.
-	if cmp, err := snap.MinFrequency(b); err == nil {
-		resp.GammaHz = cmp.Gamma.Hz
-		resp.WCETHz = cmp.WCET.Hz
-		resp.Saving = cmp.Saving
-	}
-	for _, name := range stageNames {
-		hs := s.metrics.stages[name].Snapshot()
-		if hs.Count == 0 {
-			continue
-		}
-		if resp.Stages == nil {
-			resp.Stages = make(map[string]selfStageJSON)
-		}
-		total := hs.SumSeconds() * 1e6
-		resp.Stages[name] = selfStageJSON{
-			Count:   hs.Count,
-			TotalUs: total,
-			MeanUs:  total / float64(hs.Count),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---- plumbing --------------------------------------------------------------
@@ -2164,44 +1905,4 @@ func (s *Server) serveRecovered(name, point string, h http.HandlerFunc, rec *sta
 		s.fire(point, nil)
 	}
 	h(rec, r)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var entries []*entry
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.streams {
-			entries = append(entries, e)
-		}
-		sh.mu.RUnlock()
-	}
-	var streams, inWindow, reex, drift, violations int64
-	for _, e := range entries {
-		stats := e.st.Stats()
-		streams++
-		inWindow += int64(stats.InWindow)
-		reex += stats.Reextractions
-		drift += stats.Drift
-		violations += stats.Violations
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, gauges{
-		streams:    streams,
-		inWindow:   inWindow,
-		reex:       reex,
-		drift:      drift,
-		violations: violations,
-
-		shedIngest:     s.limIngest.Shed(),
-		shedRead:       s.limRead.Shed(),
-		limitIngest:    s.limIngest.Limit(),
-		limitRead:      s.limRead.Limit(),
-		inflightIngest: s.limIngest.Inflight(),
-		inflightRead:   s.limRead.Inflight(),
-
-		queueDepths: s.asyncDepths(),
-		wal:         s.walGaugesNow(),
-		trace:       s.traceGaugesNow(),
-		tenants:     s.tenantGaugesNow(),
-	})
 }

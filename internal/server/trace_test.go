@@ -70,6 +70,9 @@ const sampleTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-
 // ingest endpoint histogram. Through the async pipeline the tail's spans
 // are recorded across the ring hop and include queue_wait; on the inline
 // tail (IngestRing 0) there is no queue, and apply covers a group of one.
+// Every stage span is the same reading as its stage histogram: one
+// observation summing to exactly the span's duration — for the ingest's
+// stages and for a traced curves miss and hit (the resolve spans).
 func TestTraceAsyncSpanTree(t *testing.T) {
 	for _, ring := range []int{16, 0} {
 		t.Run(fmt.Sprintf("ring-%d", ring), func(t *testing.T) {
@@ -82,8 +85,10 @@ func TestTraceAsyncSpanTree(t *testing.T) {
 			}
 			cfg.WAL = openTestWAL(t, t.TempDir(), cfg, wal.PolicyBatch)
 			tailSpans := []string{"apply", "wal_append", "wal_fsync"}
+			stages := []stageID{stageDecode, stageUpdate, stageRender, stageApply, stageWALAppend, stageWALFsync}
 			if ring > 0 {
 				tailSpans = append(tailSpans, "queue_wait")
+				stages = append(stages, stageQueueWait)
 			}
 			s, err := New(cfg)
 			if err != nil {
@@ -178,6 +183,13 @@ func TestTraceAsyncSpanTree(t *testing.T) {
 				t.Errorf("histogram count=%d sum=%d, root DurNs=%d — trace and histogram disagree",
 					snap.Count, snap.SumNs, root.DurNs)
 			}
+			for _, id := range stages {
+				sp, h := byName[stageTable[id].span], s.metrics.stages[id].Snapshot()
+				if h.Count != 1 || h.SumNs != sp.DurNs {
+					t.Errorf("stage %s: histogram count=%d sum=%d, span DurNs=%d — trace and histogram disagree",
+						stageTable[id].label, h.Count, h.SumNs, sp.DurNs)
+				}
+			}
 
 			// The HTTP surface renders the same tree.
 			code, m := doJSON(t, "GET", ts.URL+"/debug/traces/e2e-1", "")
@@ -218,6 +230,31 @@ func TestTraceAsyncSpanTree(t *testing.T) {
 			code, m = doJSON(t, "GET", ts.URL+"/debug/traces?endpoint=nosuch", "")
 			if code != http.StatusOK || m["count"].(float64) != 0 {
 				t.Fatalf("/debug/traces?endpoint=nosuch: %d %v", code, m)
+			}
+
+			// A traced curves miss, then a hit: each resolve span is its
+			// cache stage's one observation.
+			for _, c := range []struct {
+				reqID string
+				id    stageID
+			}{{"e2e-miss", stageCacheMiss}, {"e2e-hit", stageCacheHit}} {
+				code, _, raw := tracedReq(t, "GET", ts.URL+"/v1/streams/cam/curves",
+					map[string]string{"X-Request-Id": c.reqID}, nil)
+				if code != http.StatusOK {
+					t.Fatalf("%s: curves %d %s", c.reqID, code, raw)
+				}
+				var resolve *trace.Span
+				spans := waitTrace(t, s, c.reqID).Spans()
+				for i := range spans {
+					if spans[i].Name == "resolve" {
+						resolve = &spans[i]
+					}
+				}
+				h := s.metrics.stages[c.id].Snapshot()
+				if resolve == nil || h.Count != 1 || h.SumNs != resolve.DurNs {
+					t.Errorf("%s: resolve span %+v vs %s histogram count=%d sum=%d",
+						c.reqID, resolve, stageTable[c.id].label, h.Count, h.SumNs)
+				}
 			}
 		})
 	}

@@ -15,29 +15,6 @@ import (
 // store — finished traces never mutate — so scrapes run lock-free against
 // live traffic.
 
-// traceGauges carries the scrape-time tracing readings into the metrics
-// writer; nil when tracing is off.
-type traceGauges struct {
-	kept, dropped, sampled uint64
-	evicted, truncated     uint64
-	storeBytes, storeLimit int64
-}
-
-func (s *Server) traceGaugesNow() *traceGauges {
-	if s.tracer == nil {
-		return nil
-	}
-	return &traceGauges{
-		kept:       s.tracer.Kept(),
-		dropped:    s.tracer.Dropped(),
-		sampled:    s.tracer.Sampled(),
-		evicted:    s.tracer.Evicted(),
-		truncated:  s.tracer.TruncatedSpans(),
-		storeBytes: s.tracer.StoreBytes(),
-		storeLimit: s.tracer.StoreLimit(),
-	}
-}
-
 // traceSummaryJSON is one /debug/traces index row.
 type traceSummaryJSON struct {
 	ID          string  `json:"id"`       // X-Request-Id

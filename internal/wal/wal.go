@@ -53,9 +53,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"wcm/internal/obs"
 	"wcm/internal/stream"
 )
 
@@ -148,9 +146,6 @@ type Manager struct {
 	appends atomic.Uint64
 	fsyncs  atomic.Uint64
 	torn    atomic.Uint64
-
-	appendH atomic.Pointer[obs.Histogram]
-	fsyncH  atomic.Pointer[obs.Histogram]
 
 	closed atomic.Bool
 }
@@ -278,13 +273,6 @@ func (m *Manager) Policy() Policy { return m.opts.Policy }
 // caller replays it once at boot.
 func (m *Manager) Recovery(i int) []StreamRecovery { return m.recovery[i] }
 
-// SetObs installs latency histograms for appends and fsyncs. Call before
-// serving traffic (the serving layer does, during construction).
-func (m *Manager) SetObs(appendH, fsyncH *obs.Histogram) {
-	m.appendH.Store(appendH)
-	m.fsyncH.Store(fsyncH)
-}
-
 // BytesAppended, Appends, Fsyncs and TornTails are the cumulative counters
 // behind wcmd_wal_*_total.
 func (m *Manager) BytesAppended() uint64 { return m.bytes.Load() }
@@ -371,7 +359,6 @@ func (l *ShardLog) AppendIngestGroup(recs []IngestRec) error {
 			return err
 		}
 	}
-	start := time.Now()
 	l.buf = l.buf[:0]
 	for i := range recs {
 		l.buf = appendRecord(l.buf, recIngest, recs[i].ID, recs[i].Version, recs[i].Ts, recs[i].Ds)
@@ -380,9 +367,6 @@ func (l *ShardLog) AppendIngestGroup(recs []IngestRec) error {
 	l.off += int64(n)
 	l.mgr.bytes.Add(uint64(n))
 	l.mgr.appends.Add(uint64(len(recs)))
-	if h := l.mgr.appendH.Load(); h != nil {
-		h.Observe(time.Since(start))
-	}
 	if err != nil {
 		return err
 	}
@@ -409,15 +393,11 @@ func (l *ShardLog) appendLocked(kind byte, id string, version int64, ts, ds []in
 			return err
 		}
 	}
-	start := time.Now()
 	l.buf = appendRecord(l.buf[:0], kind, id, version, ts, ds)
 	n, err := l.f.Write(l.buf)
 	l.off += int64(n)
 	l.mgr.bytes.Add(uint64(n))
 	l.mgr.appends.Add(1)
-	if h := l.mgr.appendH.Load(); h != nil {
-		h.Observe(time.Since(start))
-	}
 	if err != nil {
 		return err
 	}
@@ -430,25 +410,30 @@ func (l *ShardLog) appendLocked(kind byte, id string, version int64, ts, ds []in
 // serving layer calls it once per unit of work, before acknowledging the
 // batches the pending records carry.
 func (l *ShardLog) Commit() error {
+	_, err := l.CommitSynced()
+	return err
+}
+
+// CommitSynced is Commit, also reporting whether it ran an fsync: false
+// under PolicyNone and when nothing was appended since the last sync. The
+// serving layer times its commits with it, so a no-op commit never counts
+// as an fsync.
+func (l *ShardLog) CommitSynced() (synced bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.dirty || l.mgr.opts.Policy == PolicyNone || l.f == nil {
-		return nil
+		return false, nil
 	}
 	if err := l.syncLocked(); err != nil {
-		return err
+		return true, err
 	}
 	l.dirty = false
-	return nil
+	return true, nil
 }
 
 func (l *ShardLog) syncLocked() error {
-	start := time.Now()
 	err := l.f.Sync()
 	l.mgr.fsyncs.Add(1)
-	if h := l.mgr.fsyncH.Load(); h != nil {
-		h.Observe(time.Since(start))
-	}
 	return err
 }
 

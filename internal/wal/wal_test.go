@@ -51,6 +51,9 @@ func TestAppendRecoverCycle(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
+	if synced, err := l.CommitSynced(); err != nil || synced {
+		t.Errorf("CommitSynced on a clean log = %v, %v; want a no-op", synced, err)
+	}
 	if m.Appends() != 3 || m.Fsyncs() != 1 {
 		t.Errorf("appends=%d fsyncs=%d, want 3 and 1", m.Appends(), m.Fsyncs())
 	}
@@ -95,8 +98,8 @@ func TestPolicyNoneSurvivesCleanClose(t *testing.T) {
 	opts.Policy = PolicyNone
 	m := mustOpen(t, opts)
 	ing(t, m.Shard(0), "a", 1, []int64{1}, []int64{2})
-	if err := m.Shard(0).Commit(); err != nil {
-		t.Fatal(err)
+	if synced, err := m.Shard(0).CommitSynced(); err != nil || synced {
+		t.Fatalf("CommitSynced = %v, %v; PolicyNone must not sync", synced, err)
 	}
 	if m.Fsyncs() != 0 {
 		t.Errorf("PolicyNone fsynced %d times on Commit", m.Fsyncs())
