@@ -602,18 +602,19 @@ func run(opts options) (*Report, error) {
 				(qosOverhead-1)*100, overheadRounds, qosUntagged.NsPerOp, httpBinary.NsPerOp, opts.maxQosOverhead*100, p)
 		}
 
-		// Async pipeline: concurrent clients drive the same handler with the
-		// ingest rings on, so concurrently arriving batches coalesce in the
-		// per-shard workers into fused stream updates. One op = every client
-		// sends one batch. Contrast with ingest_http_binary (same wire
-		// format, inline path, serial client).
-		asyncSrv, err := server.New(server.Config{Stream: ingestCfg, SelfCurves: true, IngestRing: 1024})
+		// Concurrent clients on the one path: each client drives the same
+		// handler on its own stream, so batches arrive concurrently and
+		// apply in parallel across shards. One op = every client sends one
+		// batch. Contrast with ingest_http_binary (same wire format, serial
+		// client). The name predates the one ingest path and is kept so the
+		// -baseline guard still matches it.
+		asyncSrv, err := server.New(server.Config{Stream: ingestCfg, SelfCurves: true})
 		if err != nil {
 			return nil, err
 		}
 		clients := p
 		if clients < 2 {
-			clients = 2 // coalescing needs concurrent arrivals even at p=1
+			clients = 2 // concurrent arrivals even at p=1
 		}
 		ab := make([]*ingestBench, clients)
 		for i := range ab {
@@ -640,12 +641,12 @@ func run(opts options) (*Report, error) {
 		// Durable ingest, same binary wire format with the WAL on, fsync
 		// policy "batch" in both shapes. ingest_wal_always (named for the
 		// folded "always" policy; kept so the -baseline guard still matches
-		// it) is the serial inline path (no ring): one commit, hence one
-		// fsync, per request. ingest_wal_batch goes through the async
-		// pipeline with concurrent clients, where one commit per worker
-		// wakeup amortizes over every coalesced batch. wal_overhead is the
-		// fraction of in-memory throughput the default deployment (async +
-		// fsync=batch) retains vs the same pipeline without a WAL.
+		// it) is a serial client: one commit, hence one fsync, per request.
+		// ingest_wal_batch is concurrent clients on the one path, where a
+		// commit may find its shard's appends already synced by a
+		// concurrent one. wal_overhead is the fraction of in-memory
+		// throughput the default deployment (fsync=batch) retains vs the
+		// same concurrent clients without a WAL.
 		openWAL := func(pol wal.Policy) (*wal.Manager, string, error) {
 			dir, err := os.MkdirTemp("", "benchwal")
 			if err != nil {
@@ -680,7 +681,7 @@ func run(opts options) (*Report, error) {
 			return nil, err
 		}
 		walAsyncSrv, err := server.New(server.Config{
-			Stream: ingestCfg, SelfCurves: true, IngestRing: 1024, WAL: batchM,
+			Stream: ingestCfg, SelfCurves: true, WAL: batchM,
 		})
 		if err != nil {
 			return nil, err

@@ -13,13 +13,13 @@
 // its own per-request cost into a built-in curve stream and serves its own
 // workload characterization at /debug/self.
 //
-// Every request is traced end to end: a span tree (decode → ring enqueue →
-// queue wait → coalesced apply → WAL append/fsync → render) recorded under
-// the request's X-Request-Id and W3C traceparent (accepted from the caller
-// when well formed, echoed on every response). Retention is tail-based —
-// slow, errored, shed, degraded and panicking requests are always kept,
-// ordinary ones 1-in-N per -trace-sample — into a memory-capped store
-// (-trace-store) served at /debug/traces and /debug/traces/{id}.
+// Every request is traced end to end: a span tree (decode → update → apply
+// → WAL append/fsync → render) recorded under the request's X-Request-Id
+// and W3C traceparent (accepted from the caller when well formed, echoed on
+// every response). Retention is tail-based — slow, errored, shed, degraded
+// and panicking requests are always kept, ordinary ones 1-in-N per
+// -trace-sample — into a 4 MiB store served at /debug/traces and
+// /debug/traces/{id}.
 //
 // The serving path is hardened against hostile traffic: connection-level
 // timeouts (-read-timeout, -write-timeout, -idle-timeout) cut slow-loris
@@ -39,11 +39,12 @@
 // from the cached degraded path when possible; per-tenant counters are at
 // /v1/tenants and wcmd_tenant_* in /metrics.
 //
-// With -data-dir set, wcmd is durable: every acknowledged ingest batch is
-// in a per-shard write-ahead log before its 200 goes out (group-committed
-// per -fsync), streams are snapshotted every -snapshot-interval, and a
-// restart over the same directory replays snapshots + WAL tail before the
-// listener binds — kill -9 loses only unacknowledged batches. SIGTERM
+// With -data-dir set, wcmd is durable: every ingest request applies its
+// batch, appends it to a per-shard write-ahead log and commits it (fsynced
+// per -fsync) in its own handler before its 200 goes out; streams are
+// snapshotted every -snapshot-interval, and a restart over the same
+// directory replays snapshots + WAL tail before the listener binds —
+// kill -9 loses only unacknowledged batches. SIGTERM
 // additionally checkpoints and writes a clean-shutdown marker so the next
 // boot replays (nearly) nothing.
 //
@@ -107,9 +108,8 @@ type serveOpts struct {
 
 	// Durability settings; run opens the WAL itself (before the server,
 	// before the listener) so parseFlags stays side-effect free.
-	dataDir    string
-	fsync      wal.Policy
-	walSegment int64
+	dataDir string
+	fsync   wal.Policy
 }
 
 func main() {
@@ -155,18 +155,12 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		"max concurrently executing mutating requests before shedding with 429 (negative disables)")
 	maxInflightRead := fs.Int("max-inflight-read", server.DefaultMaxInflightRead,
 		"max concurrently executing read requests before degrading/shedding (negative disables)")
-	ingestRing := fs.Int("ingest-ring", 1024,
-		"per-shard async ingest queue capacity; concurrent batches coalesce into fused stream updates (0 = each request applies and commits inline)")
 	traceSample := fs.Int("trace-sample", server.DefaultTraceSample,
 		"keep 1 in N ordinary request traces (anomalous ones are always kept) in the /debug/traces store; 0 disables tracing")
-	traceStore := fs.Int64("trace-store", 0,
-		"trace store memory cap in bytes; oldest traces evicted past it (0 = 4MiB default)")
 	dataDir := fs.String("data-dir", "",
 		"directory for the write-ahead log and snapshots; empty = in-memory only (no durability)")
 	fsyncMode := fs.String("fsync", "batch",
-		`WAL durability policy: "batch" (fsync before the ack, one per worker wakeup or inline request) or "none" (never fsync on ingest)`)
-	walSegment := fs.Int64("wal-segment", wal.DefaultSegmentBytes,
-		"WAL segment rotation size in bytes")
+		`WAL durability policy: "batch" (fsync before each ingest's ack; concurrent ingests into one shard may share it) or "none" (never fsync on ingest)`)
 	snapshotInterval := fs.Duration("snapshot-interval", time.Minute,
 		"how often to snapshot streams and truncate replayed WAL segments (0 disables periodic checkpoints)")
 	var tenantFlags tenantFlagList
@@ -225,9 +219,7 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		RequestTimeout:    *requestTimeout,
 		MaxInflightIngest: *maxInflightIngest,
 		MaxInflightRead:   *maxInflightRead,
-		IngestRing:        *ingestRing,
 		TraceSample:       *traceSample,
-		TraceStoreBytes:   *traceStore,
 		SnapshotInterval:  *snapshotInterval,
 		Faults:            faults,
 		Tenants:           tenants,
@@ -240,7 +232,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		idleTimeout:  *idleTimeout,
 		dataDir:      *dataDir,
 		fsync:        fsync,
-		walSegment:   *walSegment,
 	}
 	return cfg, opts, nil
 }
@@ -259,11 +250,10 @@ func run(ctx context.Context, cfg server.Config, opts serveOpts, ready chan<- ne
 			shards = server.DefaultShards // mirror server.New's defaulting
 		}
 		m, err := wal.Open(wal.Options{
-			Dir:          opts.dataDir,
-			Shards:       shards,
-			SegmentBytes: opts.walSegment,
-			Policy:       opts.fsync,
-			Stream:       cfg.Stream,
+			Dir:    opts.dataDir,
+			Shards: shards,
+			Policy: opts.fsync,
+			Stream: cfg.Stream,
 		})
 		if err != nil {
 			return err
@@ -322,9 +312,9 @@ func run(ctx context.Context, cfg server.Config, opts serveOpts, ready chan<- ne
 	if err := hs.Shutdown(shutCtx); err != nil {
 		return err
 	}
-	// After the HTTP layer has drained, stop the async ingest pipeline:
-	// every batch acknowledged into a shard ring is applied before the
-	// workers exit, so a 200 sent just before SIGTERM is never lost.
+	// After the HTTP layer has drained, close durability: a final
+	// checkpoint and the WAL's clean-shutdown marker, so the next boot
+	// replays (nearly) nothing. Every 200 already sent was committed.
 	srv.Close()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

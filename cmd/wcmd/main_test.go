@@ -65,10 +65,8 @@ func TestParseFlags(t *testing.T) {
 		cfg.MaxInflightRead != server.DefaultMaxInflightRead {
 		t.Fatalf("in-flight defaults = %d/%d", cfg.MaxInflightIngest, cfg.MaxInflightRead)
 	}
-	// CoalesceBudget 0 resolves to server.DefaultCoalesceBudget in New.
-	if cfg.IngestRing != 1024 || cfg.CoalesceBudget != 0 || cfg.DisableQueryCache {
-		t.Fatalf("pipeline defaults = %d/%d, query cache off = %v",
-			cfg.IngestRing, cfg.CoalesceBudget, cfg.DisableQueryCache)
+	if cfg.DisableQueryCache {
+		t.Fatal("query cache off by default")
 	}
 	if cfg.Faults != nil {
 		t.Fatalf("faults configured by default: %v", cfg.Faults)
@@ -76,14 +74,10 @@ func TestParseFlags(t *testing.T) {
 	if _, _, err := parseFlags([]string{"-window", "notanumber"}); err == nil {
 		t.Fatal("bad flag value accepted")
 	}
-	cfg, _, err = parseFlags([]string{"-ingest-ring", "0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.IngestRing != 0 {
-		t.Fatalf("-ingest-ring 0 = %d", cfg.IngestRing)
-	}
-	for _, gone := range [][]string{{"-coalesce", "7"}, {"-no-query-cache"}} {
+	for _, gone := range [][]string{
+		{"-coalesce", "7"}, {"-no-query-cache"},
+		{"-ingest-ring", "0"}, {"-wal-segment", "65536"}, {"-trace-store", "65536"},
+	} {
 		if _, _, err := parseFlags(gone); err == nil {
 			t.Fatalf("removed flag %s accepted", gone[0])
 		}
@@ -127,12 +121,8 @@ func TestParseFlagsObservability(t *testing.T) {
 	if !cfg.Logger.Enabled(context.Background(), slog.LevelDebug) {
 		t.Fatal("-log-level debug not applied")
 	}
-	cfg, _, err = parseFlags([]string{"-trace-sample", "1", "-trace-store", "65536"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.TraceSample != 1 || cfg.TraceStoreBytes != 65536 {
-		t.Fatalf("trace flags = %d/%d", cfg.TraceSample, cfg.TraceStoreBytes)
+	if cfg, _, err = parseFlags([]string{"-trace-sample", "1"}); err != nil || cfg.TraceSample != 1 {
+		t.Fatalf("-trace-sample 1: %v, %d", err, cfg.TraceSample)
 	}
 	if cfg, _, err = parseFlags([]string{"-trace-sample", "0"}); err != nil || cfg.TraceSample != 0 {
 		t.Fatalf("-trace-sample 0: %v, %d", err, cfg.TraceSample)
@@ -271,18 +261,12 @@ func TestSlowClientDisconnected(t *testing.T) {
 }
 
 // TestShutdownDrainsPipeline is the SIGTERM-with-in-flight-batches
-// regression test for the async ingest pipeline: run() must call
-// server.Close after the HTTP drain, so a shutdown that lands in the middle
-// of heavy ingest traffic neither hangs (handlers parked on worker
-// completions) nor strands acknowledged batches in the rings. Clients keep
-// posting throughout shutdown; every response must be a 200 or a clean
-// transport/refusal error, and run() must return promptly.
+// regression test: a shutdown that lands in the middle of heavy ingest
+// traffic must not hang. Clients keep posting throughout shutdown; every
+// response must be a 200 or a clean transport/refusal error, and run()
+// must return promptly.
 func TestShutdownDrainsPipeline(t *testing.T) {
-	cfg := server.Config{
-		Stream:         stream.Config{Window: 64, MaxK: 8},
-		IngestRing:     8,
-		CoalesceBudget: 4,
-	}
+	cfg := server.Config{Stream: stream.Config{Window: 64, MaxK: 8}}
 	base, _, shutdown := startRun(t, cfg, serveOpts{})
 
 	stop := make(chan struct{})
@@ -335,12 +319,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 func TestParseFlagsDurability(t *testing.T) {
 	cfg, opts, err := parseFlags([]string{
 		"-data-dir", "/tmp/wcmd-data", "-fsync", "none",
-		"-wal-segment", "65536", "-snapshot-interval", "30s",
+		"-snapshot-interval", "30s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.dataDir != "/tmp/wcmd-data" || opts.fsync != wal.PolicyNone || opts.walSegment != 65536 {
+	if opts.dataDir != "/tmp/wcmd-data" || opts.fsync != wal.PolicyNone {
 		t.Fatalf("durability opts = %+v", opts)
 	}
 	if cfg.SnapshotInterval != 30*time.Second {
@@ -358,7 +342,7 @@ func TestParseFlagsDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.dataDir != "" || opts.fsync != wal.PolicyBatch || opts.walSegment != wal.DefaultSegmentBytes {
+	if opts.dataDir != "" || opts.fsync != wal.PolicyBatch {
 		t.Fatalf("durability defaults = %+v", opts)
 	}
 	if cfg.SnapshotInterval != time.Minute {
@@ -411,7 +395,7 @@ func TestParseFlagsTenants(t *testing.T) {
 func TestDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{Shards: 4, Stream: stream.Config{Window: 64, MaxK: 16}}
-	opts := serveOpts{dataDir: dir, fsync: wal.PolicyBatch, walSegment: 1 << 20}
+	opts := serveOpts{dataDir: dir, fsync: wal.PolicyBatch}
 	base, _, shutdown := startRun(t, cfg, opts)
 
 	body := `{"t":[0,100,200,300],"demand":[5,7,6,9]}`

@@ -8,9 +8,9 @@ import (
 
 // CountNumBuckets is the number of finite buckets of a CountHist. Bucket i
 // counts observations with value ≤ 2^i, so the finite range spans 1 ..
-// 2^15 = 32768; anything larger lands in the +Inf bucket. The async ingest
-// pipeline records coalesce sizes (batches per drain) and ring occupancies
-// here — both bounded by configured ring capacities well inside the range.
+// 2^15 = 32768; anything larger lands in the +Inf bucket. The serving layer
+// records streams per /v1/query batch and spans per trace here — both
+// bounded well inside the range.
 const CountNumBuckets = 16
 
 // CountHist is Histogram's sibling for dimensionless counts instead of

@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sync/atomic"
 	"time"
 
+	"wcm/internal/obs"
+	"wcm/internal/obs/trace"
 	"wcm/internal/stream"
 	"wcm/internal/wal"
 )
@@ -17,9 +19,9 @@ import (
 // Log-after-apply, before-ack: an ingest batch is applied to the in-memory
 // stream first (the apply can still reject it — nothing invalid reaches the
 // log), then appended to the shard's WAL tagged with the stream version the
-// apply produced, then made durable by the one commit of its unit of work
-// (see commitUnit), and only then acknowledged. A crash loses at most
-// batches that were never acked.
+// apply produced, then made durable by its request's commit (see
+// commitUnit), and only then acknowledged — all in the handler's goroutine.
+// A crash loses at most batches that were never acked.
 //
 // Ordering against DELETE: ingest records are appended under the registry
 // shard's read lock after re-checking the entry is not tombstoned deleted;
@@ -134,53 +136,82 @@ func (s *Server) recoverStream(sr wal.StreamRecovery) (*stream.Stream, error) {
 	return st, nil
 }
 
-// walLogGroup appends one stream group's successful batches to shard idx's
-// WAL, all under a single shard-read-lock acquisition and — via
-// AppendIngestGroup — a single encode-and-write. The append re-checks the
-// DELETE tombstone under that lock (see the file comment); a group that
-// lost that race is simply not logged — the stream it mutated is already
-// unreachable. An append failure marks every still-successful job of the
-// group failed (500): the write is all-or-nothing from the group's
-// perspective (a partial write is a torn tail recovery refuses to trust),
-// and an applied-but-unlogged batch must not be acknowledged. Failures are
-// logged per job through the originating request's logger (trace_id
-// attached). The wal_append stage runs from start (the apply's end) to the
-// append's return; walLogGroup returns that boundary, or start when
-// nothing was appended.
-func (s *Server) walLogGroup(g *groupScratch, idx int, e *entry, group []*ingestJob, start time.Time) time.Time {
-	l := s.walShards[idx]
+// walLog makes one applied batch durable before its ack: it appends the
+// batch to its shard's WAL under the shard's read lock, re-checking the
+// DELETE tombstone there (see the file comment), and then commits. A batch
+// that lost that race is not logged — the stream it mutated is already
+// unreachable. An append or commit failure is logged through the request's
+// logger and returned: an applied-but-undurable batch must not be
+// acknowledged. The wal_append stage runs from start (the apply's end) to
+// the append's return, where commitUnit's wal_fsync starts.
+func (s *Server) walLog(ctx context.Context, id string, e *entry, version int64, ts, ds []int64, tr *trace.Active, parent trace.SpanRef, start time.Time) error {
+	idx := s.shardIndex(id)
 	sh := s.shards[idx]
-	end := start
-	g.recs = g.recs[:0]
 	sh.mu.RLock()
-	if e.state.Load() != entryDeleted {
-		for _, job := range group {
-			if job.err == nil {
-				g.recs = append(g.recs, wal.IngestRec{
-					ID: job.id, Version: job.res.Version, Ts: job.ts, Ds: job.ds})
-			}
-		}
-		if len(g.recs) > 0 {
-			err := l.AppendIngestGroup(g.recs)
-			end = time.Now()
-			s.metrics.closeGroupStage(stageWALAppend, group, start, end)
-			if err != nil {
-				for _, job := range group {
-					if job.err == nil {
-						job.logger(s.logger).LogAttrs(context.Background(), slog.LevelError,
-							"wal append failed", slog.String("error", err.Error()))
-						job.err = fmt.Errorf("wal append failed: %w", err)
-						job.errCode = http.StatusInternalServerError
-					}
-				}
-			}
-		}
+	if e.state.Load() == entryDeleted {
+		sh.mu.RUnlock()
+		return nil
 	}
+	err := s.walShards[idx].AppendIngestGroup([]wal.IngestRec{{ID: id, Version: version, Ts: ts, Ds: ds}})
+	end := time.Now()
 	sh.mu.RUnlock()
-	// Drop the aliased job buffers: recs is scratch that outlives the
-	// unit, the ts/ds columns belong to handler pools.
-	clear(g.recs)
-	return end
+	s.metrics.closeStage(stageWALAppend, tr, parent, start, end)
+	if err != nil {
+		err = fmt.Errorf("wal append failed: %w", err)
+	} else if err = s.commitUnit(idx, tr, parent, end); err != nil {
+		err = fmt.Errorf("wal commit failed: %w", err)
+	}
+	if err != nil {
+		obs.LoggerFrom(ctx).LogAttrs(ctx, slog.LevelError, "wal write failed",
+			slog.String("error", err.Error()))
+	}
+	return err
+}
+
+// commitUnit is the one WAL commit point: an ingest and a DELETE each call
+// it once, after their append and before their answer. The commit is a
+// no-op under fsync policy "none" and when a concurrent commit already
+// synced this shard's appends; only a commit that fsynced closes the
+// wal_fsync stage, which starts at start, the append's end.
+func (s *Server) commitUnit(idx uint32, tr *trace.Active, parent trace.SpanRef, start time.Time) error {
+	synced, err := s.walShards[idx].CommitSynced()
+	if synced {
+		s.metrics.closeStage(stageWALFsync, tr, parent, start, time.Now())
+	}
+	return err
+}
+
+// errServerClosed answers a durable ingest that arrives after Close.
+var errServerClosed = errors.New("server closed: ingest not accepted")
+
+// Close shuts durability down. It waits for every in-flight ingest tail
+// and turns later ones away with 500, so the final checkpoint never
+// captures a batch whose ack is still undecided; then it stops the
+// checkpoint loop, checkpoints every stream, and closes the WAL with its
+// clean-shutdown marker, so a restart replays (nearly) nothing. A server
+// without a WAL has nothing to close. Safe to call more than once. The
+// HTTP layer should stop accepting requests first (http.Server.Shutdown);
+// wcmd does.
+func (s *Server) Close() {
+	if s.wal == nil {
+		return
+	}
+	s.closeGate.Lock()
+	already := s.closed
+	s.closed = true
+	s.closeGate.Unlock()
+	if already {
+		return
+	}
+	if s.ckStop != nil {
+		close(s.ckStop)
+		<-s.ckDone
+	}
+	s.checkpointAll()
+	if err := s.wal.Close(); err != nil {
+		s.logger.LogAttrs(context.Background(), slog.LevelError, "wal close failed",
+			slog.String("error", err.Error()))
+	}
 }
 
 // ---- checkpoints ------------------------------------------------------------

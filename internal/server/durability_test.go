@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"wcm/internal/stream"
 	"wcm/internal/wal"
@@ -50,17 +49,14 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pol  wal.Policy
-		ring int
 	}{
-		{"sync-batch", wal.PolicyBatch, 0},
-		{"async-batch", wal.PolicyBatch, 16},
+		{"sync-batch", wal.PolicyBatch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{
-				Shards:     4,
-				Stream:     stream.Config{Window: 64, MaxK: 16, ReextractEvery: 13},
-				IngestRing: tc.ring,
+				Shards: 4,
+				Stream: stream.Config{Window: 64, MaxK: 16, ReextractEvery: 13},
 			}
 			cfg.WAL = openTestWAL(t, dir, cfg, tc.pol)
 			srv, err := New(cfg)
@@ -340,16 +336,16 @@ func TestWALMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestOneCommitPerUnit pins the ingest tail's commit contract: one WAL
-// Commit per unit of work — a worker drain on the ring, a request on the
-// inline tail — so fsyncs never exceed the units, and a batch the stream
-// rejects adds no fsync of its own. One shard, so every stream shares one
-// log and one worker.
+// TestOneCommitPerUnit pins the ingest tail's commit contract: at most one
+// WAL Commit per accepted batch, so fsyncs never exceed the accepted
+// batches — concurrent requests into one shard may share an fsync, never
+// add one — and a batch the stream rejects adds no fsync of its own. One
+// shard, so every stream shares one log. The rows set the deprecated
+// IngestRing (perfbench still sets it) to show it changes nothing.
 func TestOneCommitPerUnit(t *testing.T) {
 	for _, ring := range []int{16, 0} {
 		t.Run(fmt.Sprintf("ring-%d", ring), func(t *testing.T) {
-			cfg := Config{Shards: 1, Stream: stream.Config{Window: 32, MaxK: 8},
-				IngestRing: ring, CoalesceBudget: 8}
+			cfg := Config{Shards: 1, Stream: stream.Config{Window: 32, MaxK: 8}, IngestRing: ring}
 			m := openTestWAL(t, t.TempDir(), cfg, wal.PolicyBatch)
 			cfg.WAL = m
 			srv, err := New(cfg)
@@ -359,37 +355,20 @@ func TestOneCommitPerUnit(t *testing.T) {
 			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
+			// ingest runs on the test's and on other goroutines, so it reports a
+			// transport failure with t.Error and status 0.
 			ingest := func(id string, tsv int64) int {
-				code, _ := rawReq(t, "POST", ts.URL+"/v1/streams/"+id+"/ingest", "",
-					[]byte(fmt.Sprintf(`{"t":[%d],"demand":[3]}`, tsv)))
-				return code
+				resp, err := http.Post(ts.URL+"/v1/streams/"+id+"/ingest", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"t":[%d],"demand":[3]}`, tsv)))
+				if err != nil {
+					t.Error(err)
+					return 0
+				}
+				resp.Body.Close()
+				return resp.StatusCode
 			}
 			if code := ingest("s0", 0); code != http.StatusOK {
 				t.Fatalf("seed ingest: %d", code)
-			}
-
-			// Stall the tail on s0's lock, so concurrent ingests into three
-			// more streams pile up behind it — on the ring, one drain of
-			// three stream groups that a per-group commit would fsync
-			// three times.
-			e0 := srv.get("s0")
-			held := make(chan struct{})
-			go func() {
-				defer close(held)
-				e0.st.HoldLock(300 * time.Millisecond)
-			}()
-			for {
-				if _, err := e0.st.SnapshotWithin(0); err != nil {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			// waitFor polls cond for as long as the hold could last; on the
-			// ring it orders the sends so the worker drains s0 alone first.
-			waitFor := func(cond func() bool) {
-				for deadline := time.Now().Add(time.Second); ring > 0 && !cond() && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
 			}
 			var wg sync.WaitGroup
 			for i := 0; i < 4; i++ {
@@ -400,33 +379,23 @@ func TestOneCommitPerUnit(t *testing.T) {
 						t.Errorf("ingest s%d: %d", i, code)
 					}
 				}(i)
-				if i == 0 {
-					waitFor(func() bool { return srv.metrics.coalesce.Count() == 2 })
-				}
 			}
-			waitFor(func() bool { return srv.pipes[0].ring.Len() == 3 })
 			wg.Wait()
-			<-held
 
 			fsyncs := m.Fsyncs()
-			units := srv.metrics.batches.Load()
-			if ring > 0 {
-				units = srv.metrics.coalesce.Count()
-			}
-			if fsyncs == 0 || fsyncs > units {
+			if units := srv.metrics.batches.Load(); fsyncs == 0 || fsyncs > units {
 				t.Fatalf("fsyncs = %d, want 1..%d (one commit per unit)", fsyncs, units)
 			}
 
 			// A rejected batch (its timestamp precedes the stream's) appends
-			// nothing, so its unit's commit has nothing to fsync.
+			// nothing, so it commits nothing.
 			if code := ingest("s0", 50); code != http.StatusBadRequest {
 				t.Fatalf("out-of-order ingest: %d, want 400", code)
 			}
 			if got := m.Fsyncs(); got != fsyncs {
 				t.Fatalf("rejected batch fsynced: %d → %d", fsyncs, got)
 			}
-			// The wal_fsync stage counts exactly the commits that synced:
-			// the rejected batch's no-op commit is not one.
+			// The wal_fsync stage counts exactly the commits that synced.
 			if got := srv.metrics.stages[stageWALFsync].Count(); got != fsyncs {
 				t.Fatalf("wal_fsync stage count = %d, fsyncs = %d", got, fsyncs)
 			}

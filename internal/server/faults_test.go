@@ -450,90 +450,6 @@ func TestLockHoldFault(t *testing.T) {
 	<-ingestDone
 }
 
-// TestIngestRingFullSheds fills a one-slot ingest ring past a request
-// deadline. Stream x's lock is held for 300ms (stream.HoldLock, the lockhold
-// fault's mechanism), so the shard's worker blocks applying the first job,
-// the second job waits in the ring, and the third request finds the ring
-// full until its 50ms deadline: 503 with Retry-After. The update stage
-// covers every request that reached the hand-off, the shed one included.
-//
-// The lock is held by the test rather than through a configured lockhold
-// fault: the fault holds the lock inside the ingest handler, before that
-// request's job exists, and the worker wins the lock at every hand-off
-// between successive holders, so the ring would fill only by chance.
-func TestIngestRingFullSheds(t *testing.T) {
-	s, err := New(Config{
-		Shards:         1,
-		Stream:         streamCfg,
-		IngestRing:     1,
-		RequestTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	e, _, err := s.getOrCreate("x", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go e.st.HoldLock(300 * time.Millisecond)
-	for {
-		if _, err := e.st.SnapshotWithin(0); err != nil {
-			break // the hold is in force
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
-	ingest := func(ts0 int) (*http.Response, error) {
-		return http.Post(ts.URL+"/v1/streams/x/ingest", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"t":[%d],"demand":[1]}`, ts0)))
-	}
-	parked := make(chan int, 2)
-	park := func(ts0 int) {
-		resp, err := ingest(ts0)
-		if err != nil {
-			t.Error(err)
-			parked <- 0
-			return
-		}
-		resp.Body.Close()
-		parked <- resp.StatusCode
-	}
-	p := s.pipes[0]
-	go park(100)
-	waitFor("the worker to take the first job", func() bool { return s.metrics.coalesce.Count() == 1 })
-	go park(200)
-	waitFor("the second job to fill the ring", func() bool { return p.ring.Len() == 1 })
-
-	resp, err := ingest(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("ingest into a full ring: %d Retry-After=%q, want 503 with a hint",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	for i := 0; i < 2; i++ {
-		if code := <-parked; code != http.StatusOK {
-			t.Errorf("queued ingest = %d, want 200 once the hold ends", code)
-		}
-	}
-	if got := s.metrics.stages[stageUpdate].Count(); got != 3 {
-		t.Errorf("update stage count = %d, want 3: the shed request reached the hand-off too", got)
-	}
-}
-
 // TestDropIfEmptyIngestRace races dropIfEmpty against a writer that
 // fetched the same entry: whenever the writer's ingest succeeds, the
 // stream must remain reachable with the sample in it — the tombstone +

@@ -23,20 +23,18 @@ import (
 // timestamp, so each boundary costs one clock read. The intervals:
 //
 //	decode      handler entry → body read and parsed (JSON or binary)
-//	update      decode end → the handler resumes from the ingest tail, for
-//	            every request that reached the hand-off: applied, rejected,
-//	            or shed 503 because the ring stayed full past its deadline
+//	update      decode end → the ingest tail returned (applied, rejected or
+//	            failed), bracketing apply, wal_append and wal_fsync
 //	render      update end → ingest response encoded and written
 //	cache_hit   cached query replayed from the version-keyed cache
 //	cache_miss  query computed from a fresh snapshot
-//	queue_wait  decode end → the worker drained the job (ring only; per job)
-//	apply       one stream group's IngestBatches call (per group)
-//	wal_append  apply end → the group's AppendIngestGroup returned, so it
-//	            brackets the whole append call: registry fixups, shard-lock
-//	            and log-lock wait, any size-triggered rotation (per group;
-//	            a DELETE times its AppendTombstone call alone)
-//	wal_fsync   last append → a Commit that fsynced (per unit of work;
-//	            a commit with nothing to sync is no observation)
+//	apply       the request's stream Ingest call
+//	wal_append  apply end → the batch's WAL append returned, so it brackets
+//	            registry fixups, shard-lock and log-lock wait and any
+//	            size-triggered rotation (a DELETE times its AppendTombstone
+//	            call alone)
+//	wal_fsync   append end → a Commit that fsynced (a commit with nothing
+//	            left to sync is no observation)
 type stageID uint8
 
 const (
@@ -45,7 +43,6 @@ const (
 	stageRender
 	stageCacheHit
 	stageCacheMiss
-	stageQueueWait
 	stageApply
 	stageWALAppend
 	stageWALFsync
@@ -61,7 +58,6 @@ var stageTable = [numStages]struct{ label, span, outcome string }{
 	stageRender:    {"render", "render", ""},
 	stageCacheHit:  {"cache_hit", "resolve", "hit"},
 	stageCacheMiss: {"cache_miss", "resolve", "miss"},
-	stageQueueWait: {"queue_wait", "queue_wait", ""},
 	stageApply:     {"apply", "apply", ""},
 	stageWALAppend: {"wal_append", "wal_append", ""},
 	stageWALFsync:  {"wal_fsync", "wal_fsync", ""},
@@ -113,20 +109,6 @@ func (m *metrics) closeStage(id stageID, tr *trace.Active, parent trace.SpanRef,
 	return m.openStage(id, tr, parent, start).end(end)
 }
 
-// closeGroupStage records stage id over [start, end] for one coalesced
-// group of ingest jobs: the histogram gets one observation for the group,
-// and every traced job still on course (no error yet) gets the same span
-// under its update span, tagged with how many jobs the group held.
-func (m *metrics) closeGroupStage(id stageID, jobs []*ingestJob, start, end time.Time) {
-	m.stages[id].Observe(end.Sub(start))
-	for _, job := range jobs {
-		if job.tr != nil && job.err == nil {
-			job.tr.RecordAt(stageTable[id].span, job.parent, start, end).
-				Int("coalesced", int64(len(jobs)))
-		}
-	}
-}
-
 // metrics holds the service's counters and histograms. Per-endpoint and
 // per-stage cells are plain atomics updated on the request path; gauges
 // derived from stream state are computed at scrape time by Server.collect,
@@ -168,13 +150,8 @@ type metrics struct {
 	panics   atomic.Uint64  // handler panics caught by the recovery barrier
 	degraded atomic.Uint64  // responses served from a stale cache marked degraded
 
-	// coalesce records batches-fused-per-worker-wakeup when the async
-	// ingest pipeline is on (1 = no coalescing happened for that drain).
-	coalesce obs.CountHist
-
-	// batchStreams records streams-answered-per-/v1/query-request — the
-	// read-side mirror of coalesce: how much per-request overhead each
-	// batch amortizes.
+	// batchStreams records streams-answered-per-/v1/query-request: how
+	// much per-request overhead each batch amortizes.
 	batchStreams obs.CountHist
 
 	// traceSpans records spans-per-trace for every traced request (kept or
@@ -269,10 +246,6 @@ type gauges struct {
 	streams streamGauges
 	limits  map[string]classLimitJSON // "ingest" and "read"
 
-	// queueDepths samples each shard's ingest ring occupancy at scrape
-	// time; nil when the async pipeline is off.
-	queueDepths []int
-
 	// wal carries the durability counters; nil when the server runs
 	// without a write-ahead log.
 	wal *walGauges
@@ -353,7 +326,6 @@ func (s *Server) collect() gauges {
 		"ingest": {Limit: s.limIngest.Limit(), Inflight: s.limIngest.Inflight(), Shed: s.limIngest.Shed()},
 		"read":   {Limit: s.limRead.Limit(), Inflight: s.limRead.Inflight(), Shed: s.limRead.Shed()},
 	}
-	g.queueDepths = s.asyncDepths()
 	if s.wal != nil {
 		g.wal = &walGauges{
 			BytesTotal:       s.wal.BytesAppended(),
@@ -522,19 +494,8 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		"wcmd_inflight_requests{class=\"ingest\"} %d\nwcmd_inflight_requests{class=\"read\"} %d\n",
 		ing.Inflight, rd.Inflight)
 
-	if s := m.coalesce.Snapshot(); s.Count > 0 || g.queueDepths != nil {
-		writeCountHistFamily(w, "wcmd_ingest_coalesce_batches",
-			"Ingest batches fused per async worker wakeup (1 = no coalescing).", s)
-	}
 	if s := m.batchStreams.Snapshot(); s.Count > 0 {
 		writeCountHistFamily(w, "wcmd_query_batch_streams", "Streams answered per /v1/query request.", s)
-	}
-	if g.queueDepths != nil {
-		fmt.Fprintf(w, "# HELP wcmd_ingest_queue_depth Enqueued ingest jobs waiting in each shard's ring at scrape time.\n"+
-			"# TYPE wcmd_ingest_queue_depth gauge\n")
-		for i, d := range g.queueDepths {
-			fmt.Fprintf(w, "wcmd_ingest_queue_depth{shard=\"%d\"} %d\n", i, d)
-		}
 	}
 
 	if g.trace != nil {
@@ -650,7 +611,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		rows[id] = histRow{"stage=\"" + stageTable[id].label + "\"", m.stages[id].Snapshot()}
 	}
 	writeHistogramFamily(w, "wcmd_stage_latency_seconds",
-		"Pipeline stage latency distribution (decode/update/render, cache hit/miss, queue wait, apply, WAL append/fsync).",
+		"Pipeline stage latency distribution (decode/update/render, cache hit/miss, apply, WAL append/fsync).",
 		rows)
 }
 
@@ -692,7 +653,6 @@ type statsResponse struct {
 	Degraded      uint64                       `json:"degraded"`
 	Limits        map[string]classLimitJSON    `json:"limits"`
 	Streams       streamGauges                 `json:"streams"`
-	QueueDepths   []int                        `json:"queue_depths,omitempty"`
 	WAL           *walGauges                   `json:"wal,omitempty"`
 	Trace         *traceGauges                 `json:"trace,omitempty"`
 	Tenants       map[string]tenantJSON        `json:"tenants"`
@@ -712,7 +672,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Degraded:      s.metrics.degraded.Load(),
 		Limits:        g.limits,
 		Streams:       g.streams,
-		QueueDepths:   g.queueDepths,
 		WAL:           g.wal,
 		Trace:         g.trace,
 		Tenants:       make(map[string]tenantJSON, len(g.tenants)),

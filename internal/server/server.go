@@ -32,13 +32,13 @@
 // echoed on the response and attached to a request-scoped slog.Logger that
 // handlers reach via obs.LoggerFrom(r.Context()). Latency lands in
 // lock-free log-bucketed histograms per endpoint and per pipeline stage
-// (decode/update/render, cache hit/miss, queue wait, apply, WAL
-// append/fsync; see stageTable), exported as Prometheus histograms with
-// p50/p95/p99 estimates. Requests slower than
-// Config.SlowRequest are logged at Warn with their trace ID. With
-// Config.SelfCurves the server additionally feeds each request's measured
-// cost into a built-in CurveStream and serves its own γᵘ/γˡ — the paper's
-// workload characterization applied to the service itself — at /debug/self.
+// (decode/update/render, cache hit/miss, apply, WAL append/fsync; see
+// stageTable), exported as Prometheus histograms with p50/p95/p99
+// estimates. Requests slower than Config.SlowRequest are logged at Warn
+// with their trace ID. With Config.SelfCurves the server additionally
+// feeds each request's measured cost into a built-in CurveStream and
+// serves its own γᵘ/γˡ — the paper's workload characterization applied to
+// the service itself — at /debug/self.
 //
 // Query responses (/curves, /check, /minfreq, /verdict) are memoized in a
 // per-stream version-keyed cache (see queryCache): each stream carries a
@@ -93,6 +93,10 @@ const (
 	DefaultTraceSample = trace.DefaultSampleN
 )
 
+// Deprecated: DefaultCoalesceBudget is read by nothing; it stays only
+// because perfbench still passes it as Config.CoalesceBudget.
+const DefaultCoalesceBudget = 64
+
 // Config parameterizes a Server. The zero value picks service defaults.
 type Config struct {
 	// Shards is the number of stream-map partitions. Default 16.
@@ -138,18 +142,12 @@ type Config struct {
 	// Fault). Empty in production; wcmd only exposes -inject-fault behind
 	// the faultinject build tag.
 	Faults []Fault
-	// IngestRing enables the async ingest pipeline: each registry shard
-	// gets an SPSC ring of this capacity (rounded up to a power of two)
-	// and a dedicated worker goroutine that drains it, coalescing batches
-	// that arrived concurrently into single-lock stream updates (see
-	// async.go). 0 runs the same apply and commit inline in the handler,
-	// one request at a time — the right default for embedded uses (tests,
-	// libraries) that never call Server.Close; wcmd turns the ring on via
-	// -ingest-ring. Negative is invalid.
+	// Deprecated: IngestRing is read by nothing. Every ingest applies and
+	// commits in its own handler; the field stays only because perfbench,
+	// which may not change with the service, still sets it.
 	IngestRing int
-	// CoalesceBudget caps how many queued jobs one worker wakeup drains
-	// and fuses (only meaningful with IngestRing > 0). 0 picks
-	// DefaultCoalesceBudget; negative is invalid.
+	// Deprecated: CoalesceBudget is read by nothing; it stays only because
+	// perfbench still sets it (see IngestRing).
 	CoalesceBudget int
 	// WAL enables durability: every acknowledged ingest batch is appended
 	// to this write-ahead log before the response goes out, and New
@@ -166,12 +164,11 @@ type Config struct {
 	// WAL set.
 	SnapshotInterval time.Duration
 	// TraceSample enables end-to-end request tracing: every request records
-	// a span tree (decode → enqueue → queue wait → apply → WAL append/fsync
-	// → render, stitched across the async hop), and at completion tail-based
-	// retention keeps slow/errored/shed/degraded/panicking traces always and
-	// 1 in TraceSample ordinary ones. Kept traces are served at
-	// /debug/traces. 0 disables tracing entirely (the default — embedded
-	// uses pay nothing); negative is invalid.
+	// a span tree (decode → update → apply → WAL append/fsync → render),
+	// and at completion tail-based retention keeps slow/errored/shed/
+	// degraded/panicking traces always and 1 in TraceSample ordinary ones.
+	// Kept traces are served at /debug/traces. 0 disables tracing entirely
+	// (the default — embedded uses pay nothing); negative is invalid.
 	TraceSample int
 	// TraceStoreBytes hard-caps the in-memory trace store (oldest evicted).
 	// 0 picks the trace package default (4 MiB). Only meaningful with
@@ -221,13 +218,10 @@ type Server struct {
 	faults    map[string]Fault // nil = no fault injection
 	qos       *qosRegistry     // never nil; holds at least the default tenant
 
-	// Async ingest pipeline (nil/zero when Config.IngestRing == 0).
-	pipes   []*ingestPipe // one per shard, index-aligned with shards
-	workers sync.WaitGroup
-	closing atomic.Bool
-
 	// Durability (nil/zero when Config.WAL == nil; see durability.go).
 	wal        *wal.Manager
+	closeGate  sync.RWMutex    // durable ingest tails hold it shared; Close exclusively
+	closed     bool            // set by Close; guarded by closeGate
 	walShards  []*wal.ShardLog // index-aligned with shards
 	recovering atomic.Bool
 	recovered  recoveryStats
@@ -337,23 +331,11 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	s.scopes.New = func() any { return new(reqScope) }
-	// Tracing needs the request scope reachable from handler and worker
-	// contexts, so it forces the context wrap even with no deadline/logger.
+	// Tracing needs the request scope reachable from the handler's
+	// context, so it forces the context wrap even with no deadline/logger.
 	s.bareCtx = cfg.RequestTimeout <= 0 && s.logger == obs.Discard() && s.tracer == nil
 	for i := range s.shards {
 		s.shards[i] = &shard{streams: make(map[string]*entry)}
-	}
-	if cfg.IngestRing < 0 || cfg.CoalesceBudget < 0 {
-		return nil, fmt.Errorf("server: ingest ring=%d coalesce=%d", cfg.IngestRing, cfg.CoalesceBudget)
-	}
-	if cfg.IngestRing > 0 {
-		budget := cfg.CoalesceBudget
-		if budget == 0 {
-			budget = DefaultCoalesceBudget
-		}
-		if err := s.startPipeline(cfg.IngestRing, budget); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.WAL != nil {
 		if err := s.attachWAL(cfg.WAL); err != nil {
@@ -413,8 +395,7 @@ func (s *Server) routes() {
 // Handler returns the service's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// shardIndex maps a stream id to its registry shard — and, when the async
-// ingest pipeline is on, to the dedicated ingest worker for that shard.
+// shardIndex maps a stream id to its registry shard and WAL shard log.
 // Inline FNV-1a: byte-for-byte the sequence hash/fnv.New32a produces —
 // existing WAL directories partition records by this value, so the mapping
 // must never change — without the per-call hasher allocation the interface
@@ -679,15 +660,12 @@ func decodeIngest(r io.Reader) (ingestRequest, error) {
 
 // ingestScratch holds every per-request buffer of the ingest path. One
 // instance cycles through scratchPool per request, so the steady state
-// allocates neither decode columns, nor the inline tail's group columns,
-// nor response bytes.
+// allocates neither decode columns nor response bytes.
 type ingestScratch struct {
 	body []byte        // raw request body
 	t, d []int64       // binary-decoded columns
 	req  ingestRequest // JSON decode target (column capacity reused)
 	out  []byte        // rendered response
-
-	groupScratch // the inline tail's unit of one (see async.go)
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -775,52 +753,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.faults != nil {
 		s.fire("ingest:update", e)
 	}
-	// Hand the job to the tail (see async.go): onto the shard's ring, or —
-	// with no ring to take it — through the same group apply and commit
-	// inline, as a group of one. The update stage opens here and closes
-	// when the handler resumes, so it brackets the tail's queue_wait/apply/
-	// WAL children: exactly the time the stream update takes from this
-	// request's view.
-	job := jobPool.Get().(*ingestJob)
-	job.e, job.id, job.created = e, id, created
-	job.ts, job.ds = ts, ds
-	job.res, job.err, job.errCode = stream.IngestResult{}, nil, 0
-	job.scope = obs.FromContext(r.Context())
+	// The update stage opens here and closes when the tail returns, so it
+	// brackets the tail's apply/WAL children: exactly the time the stream
+	// update takes from this request's view.
 	upd := s.metrics.openStage(stageUpdate, tr, tr.Root(), tDecoded)
-	job.tr, job.parent, job.enq = tr, upd.ref, tDecoded
-	idx := int(s.shardIndex(id))
-	queued, busy := s.enqueueIngest(idx, job, r)
-	if !queued && !busy {
-		g := &sc.groupScratch
-		g.group = append(g.group[:0], job)
-		s.commitUnit(idx, g.group, s.applyGroup(g, idx, g.group, time.Now()))
-	}
-	if !busy {
-		<-job.done // unconditional: the tail reads buffers this handler owns
-	}
-	res, err, code := job.res, job.err, job.errCode
-	job.e, job.ts, job.ds = nil, nil, nil
-	job.scope, job.tr, job.parent = nil, nil, trace.SpanRef{}
-	jobPool.Put(job)
-
+	res, code, err := s.ingestTail(r.Context(), id, e, created, ts, ds, tr, upd.ref)
 	tUpdated := time.Now()
 	upd.end(tUpdated)
-	if busy {
-		if created {
-			s.dropIfEmpty(id, e)
-		}
-		// Hint proportional to the backlog still queued: a ring that is
-		// still full after the deadline's worth of retries earns a longer
-		// backoff than one that drained while we waited.
-		p := s.pipes[idx]
-		writeBusy(w, "ingest queue full past request deadline",
-			retryAfterFloorSeconds+p.ring.Len()/p.ring.Cap())
-		return
-	}
 	if err != nil {
-		if code == 0 {
-			code = http.StatusBadRequest
-		}
 		writeJSON(w, code, errorResponse{err.Error()})
 		return
 	}
@@ -840,6 +780,53 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
 	}
 	s.metrics.closeStage(stageRender, tr, tr.Root(), tUpdated, time.Now())
+}
+
+// ingestTail is the one ingest path after decode, run in the handler's own
+// goroutine: apply the batch to its stream, then — with durability on —
+// append it to the shard's WAL and commit (see durability.go), so the
+// handler acknowledges only a durable batch. The apply, wal_append and
+// wal_fsync stages nest under parent, the handler's update span. It returns
+// the result to render, or the status and error to answer with.
+func (s *Server) ingestTail(ctx context.Context, id string, e *entry, created bool, ts, ds []int64, tr *trace.Active, parent trace.SpanRef) (stream.IngestResult, int, error) {
+	if s.wal != nil {
+		// Close waits for every tail holding the gate before its final
+		// checkpoint, and a tail that finds the server closed applies
+		// nothing, so that checkpoint never captures a batch whose ack is
+		// still undecided.
+		s.closeGate.RLock()
+		defer s.closeGate.RUnlock()
+		if s.closed {
+			if created {
+				s.dropIfEmpty(id, e)
+			}
+			return stream.IngestResult{}, http.StatusInternalServerError, errServerClosed
+		}
+	}
+	t0 := time.Now()
+	res, err := e.st.Ingest(ts, ds)
+	tApplied := time.Now()
+	s.metrics.closeStage(stageApply, tr, parent, t0, tApplied)
+	if err != nil {
+		if created {
+			s.dropIfEmpty(id, e)
+		}
+		return res, http.StatusBadRequest, err
+	}
+	if err := s.ensureRegistered(id, e); err != nil {
+		return res, http.StatusConflict, err
+	}
+	s.metrics.samples.Add(uint64(res.Accepted))
+	s.metrics.batches.Add(1)
+	if res.Violation != nil {
+		s.metrics.violatingBatches.Add(1)
+	}
+	if s.wal != nil {
+		if err := s.walLog(ctx, id, e, res.Version, ts, ds, tr, parent, tApplied); err != nil {
+			return res, http.StatusInternalServerError, err
+		}
+	}
+	return res, 0, nil
 }
 
 // unmarshalIngest strictly decodes a JSON ingest body from pre-read bytes
@@ -1563,11 +1550,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.wal != nil {
 		if walErr == nil {
-			var synced bool
-			synced, walErr = s.walShards[idx].CommitSynced()
-			if synced {
-				s.metrics.closeStage(stageWALFsync, tr, tr.Root(), tAppended, time.Now())
-			}
+			walErr = s.commitUnit(idx, tr, tr.Root(), tAppended)
 		}
 		if walErr != nil {
 			// The in-memory delete already happened; surface that durability

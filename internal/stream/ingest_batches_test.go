@@ -160,9 +160,8 @@ func TestIngestBatchesDifferential(t *testing.T) {
 	}
 }
 
-// TestIngestBatchesSingleEqualsIngest: a 1-batch IngestBatches is the common
-// uncoalesced case of the async pipeline; it must behave exactly like Ingest
-// even for edge batches (empty, mismatched lengths).
+// TestIngestBatchesSingleEqualsIngest: a 1-batch IngestBatches must behave
+// exactly like Ingest even for edge batches (empty, mismatched lengths).
 func TestIngestBatchesSingleEqualsIngest(t *testing.T) {
 	mk := func() *Stream {
 		s, err := New(Config{Window: 16, MaxK: 4, ReextractEvery: 8})
@@ -196,8 +195,8 @@ func TestIngestBatchesSingleEqualsIngest(t *testing.T) {
 	}
 }
 
-// TestIngestBatchesZeroAlloc: the coalesced apply must not allocate in
-// steady state — it runs on every ingest of the async pipeline.
+// TestIngestBatchesZeroAlloc: a grouped apply must not allocate in steady
+// state with reused batch and result scratch.
 func TestIngestBatchesZeroAlloc(t *testing.T) {
 	s, err := New(Config{Window: 256, MaxK: 64})
 	if err != nil {

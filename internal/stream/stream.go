@@ -306,7 +306,7 @@ func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	return res, nil
 }
 
-// Batch is one ingest request's samples, as queued by the async pipeline.
+// Batch is one ingest request's samples, as replayed from the WAL.
 type Batch struct {
 	Ts      []int64
 	Demands []int64
@@ -320,10 +320,10 @@ type BatchResult struct {
 }
 
 // IngestBatches ingests a sequence of batches under ONE lock acquisition —
-// the cross-request coalescing behind the async ingest pipeline. Results are
-// written into the caller-supplied results slice (len(results) must equal
-// len(batches); both are typically reused worker scratch, so steady-state
-// ingest stays allocation-free).
+// how WAL recovery replays a stream's logged batches. Results are written
+// into the caller-supplied results slice (len(results) must equal
+// len(batches); both can be reused scratch, so a steady-state caller stays
+// allocation-free).
 //
 // Each batch goes through exactly the validation and apply that Ingest
 // uses, in order, so per batch the outcome is EXACTLY what a sequential

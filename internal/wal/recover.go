@@ -22,7 +22,7 @@ import (
 //     snapSeg, so the tombstone wins in either interleaving.
 //   - snapshot vs record: surviving records with version ≤ the snapshot's
 //     are already inside it and are dropped; the rest replay on top,
-//     sorted by version (two inline-path appenders holding the shard read
+//     sorted by version (two concurrent appenders holding the shard read
 //     lock may reach the log mutex in either order, so raw file order is
 //     not version order).
 //

@@ -16,11 +16,10 @@
 // # Group commit
 //
 // The serving layer appends a record for each applied batch and then calls
-// Commit once per unit of work before acknowledging any batch of it;
-// Commit's fsync behavior is the configured Policy. A unit is one request
-// on the inline ingest path and one worker wakeup — every coalesced group
-// of the drain — on the async pipeline, so there one fsync covers every
-// batch that arrived while the previous drain was applying (group commit).
+// Commit once, in the same request, before acknowledging it; Commit's fsync
+// behavior is the configured Policy. The dirty bit groups commits only by
+// chance: a Commit that finds its shard's appends already synced by a
+// concurrent one returns without an fsync of its own.
 //
 // # Checkpoints
 //
@@ -40,7 +39,7 @@
 // intact byte, where the file is truncated so new appends start from a
 // valid tail. Per stream, surviving records are the ones after the last
 // tombstone and newer than the snapshot's version, sorted by version
-// (concurrent inline-path appenders may land slightly out of order); the
+// (concurrent appenders may land slightly out of order); the
 // serving layer replays them through the normal ingest path. The result
 // is exposed via Recovery.
 package wal
@@ -70,9 +69,9 @@ const segMagic = "WCMWAL1\n"
 type Policy int
 
 const (
-	// PolicyBatch fsyncs once per Commit — per request on the inline
-	// ingest path, once per worker wakeup on the async pipeline — before
-	// any batch the commit covers is acknowledged. The default.
+	// PolicyBatch fsyncs once per Commit that finds unsynced appends —
+	// at most once per ingest request — before any batch the commit
+	// covers is acknowledged. The default.
 	PolicyBatch Policy = iota
 	// PolicyNone never fsyncs on the ingest path; the OS flushes when it
 	// pleases. Acknowledged data survives process death (the page cache
@@ -330,8 +329,8 @@ type IngestRec struct {
 	Ts, Ds  []int64
 }
 
-// AppendIngestGroup logs a group of applied batches — one stream group of
-// the serving layer's ingest tail, often a single batch — with ONE write
+// AppendIngestGroup logs a group of applied batches — the serving layer's
+// ingest tail passes one batch per request — with ONE write
 // syscall and no user-space buffering, so an acknowledged record is in the
 // page cache even if the process dies before any fsync. It does not sync;
 // pair with Commit before acknowledging. The serving layer calls this under
