@@ -268,6 +268,42 @@ func (b *ingestBench) op(binary bool) {
 	})
 }
 
+// concurrentClients starts one long-lived goroutine per client, as a
+// keep-alive connection reuses its goroutine across requests. round
+// releases every client for one binary op and waits for all of them; stop
+// ends the goroutines and waits for them to exit. A fresh goroutine per
+// client per op would mostly measure goroutine stack growth rather than
+// the ingest path.
+func concurrentClients(clients []*ingestBench) (round, stop func()) {
+	var ops, exited sync.WaitGroup
+	release := make([]chan struct{}, len(clients))
+	exited.Add(len(clients))
+	for i, c := range clients {
+		release[i] = make(chan struct{}, 1)
+		go func(next <-chan struct{}) {
+			defer exited.Done()
+			for range next {
+				c.op(true)
+				ops.Done()
+			}
+		}(release[i])
+	}
+	round = func() {
+		ops.Add(len(clients))
+		for _, ch := range release {
+			ch <- struct{}{}
+		}
+		ops.Wait()
+	}
+	stop = func() {
+		for _, ch := range release {
+			close(ch)
+		}
+		exited.Wait()
+	}
+	return round, stop
+}
+
 // opStatus drives one attempt without the retry wrapper and reports the
 // HTTP status. The QoS isolation bench uses it for traffic that is
 // deliberately rate-limited: there a 429 is the datum being counted, not
@@ -621,17 +657,9 @@ func run(opts options) (*Report, error) {
 			ab[i] = newIngestBench(asyncSrv.Handler(), "a"+strconv.Itoa(i),
 				server.ContentTypeBinary, batchDemands, 3)
 		}
-		httpAsync := measure("ingest_async_pipeline", minTime, func() {
-			var wg sync.WaitGroup
-			for i := range ab {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					ab[i].op(true)
-				}(i)
-			}
-			wg.Wait()
-		})
+		asyncRound, asyncStop := concurrentClients(ab)
+		httpAsync := measure("ingest_async_pipeline", minTime, asyncRound)
+		asyncStop()
 		httpAsync.SamplesPerSec = float64(clients*len(batchDemands)) / (httpAsync.NsPerOp / 1e9)
 		add(httpAsync)
 		asyncSrv.Close()
@@ -691,17 +719,9 @@ func run(opts options) (*Report, error) {
 			wab[i] = newIngestBench(walAsyncSrv.Handler(), "wa"+strconv.Itoa(i),
 				server.ContentTypeBinary, batchDemands, 3)
 		}
-		walBatch := measure("ingest_wal_batch", minTime, func() {
-			var wg sync.WaitGroup
-			for i := range wab {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					wab[i].op(true)
-				}(i)
-			}
-			wg.Wait()
-		})
+		walRound, walStop := concurrentClients(wab)
+		walBatch := measure("ingest_wal_batch", minTime, walRound)
+		walStop()
 		walBatch.SamplesPerSec = float64(clients*len(batchDemands)) / (walBatch.NsPerOp / 1e9)
 		add(walBatch)
 		walAsyncSrv.Close()

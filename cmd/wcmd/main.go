@@ -134,7 +134,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 	shards := fs.Int("shards", server.DefaultShards, "stream registry shards")
 	window := fs.Int("window", stream.DefaultWindow, "sliding window length in samples")
 	maxK := fs.Int("maxk", stream.DefaultMaxK, "largest curve argument k maintained")
-	reextract := fs.Int("reextract", 0, "settled samples between anchor re-extractions, checked at read time (0 = window, <0 = off)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes")
 	pprof := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	logFormat := fs.String("log-format", "text", `structured log format: "json" or "text"`)
@@ -205,14 +204,10 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		return server.Config{}, serveOpts{}, err
 	}
 	cfg := server.Config{
-		Shards:       *shards,
-		MaxBodyBytes: *maxBody,
-		EnablePprof:  *pprof,
-		Stream: stream.Config{
-			Window:         *window,
-			MaxK:           *maxK,
-			ReextractEvery: *reextract,
-		},
+		Shards:            *shards,
+		MaxBodyBytes:      *maxBody,
+		EnablePprof:       *pprof,
+		Stream:            stream.Config{Window: *window, MaxK: *maxK},
 		Logger:            logger,
 		SlowRequest:       *slowReq,
 		SelfCurves:        *selfCurves,

@@ -24,7 +24,7 @@ import (
 func TestParseFlags(t *testing.T) {
 	cfg, opts, err := parseFlags([]string{
 		"-addr", "127.0.0.1:9999", "-shards", "4", "-window", "64",
-		"-maxk", "8", "-reextract", "-1", "-max-body", "4096", "-pprof",
+		"-maxk", "8", "-max-body", "4096", "-pprof",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestParseFlags(t *testing.T) {
 	if opts.addr != "127.0.0.1:9999" || cfg.Shards != 4 || cfg.MaxBodyBytes != 4096 {
 		t.Fatalf("cfg = %+v, opts = %+v", cfg, opts)
 	}
-	if cfg.Stream.Window != 64 || cfg.Stream.MaxK != 8 || cfg.Stream.ReextractEvery != -1 {
+	if cfg.Stream.Window != 64 || cfg.Stream.MaxK != 8 || cfg.Stream.ReextractEvery != 0 {
 		t.Fatalf("stream cfg = %+v", cfg.Stream)
 	}
 	if !cfg.EnablePprof {
@@ -77,6 +77,7 @@ func TestParseFlags(t *testing.T) {
 	for _, gone := range [][]string{
 		{"-coalesce", "7"}, {"-no-query-cache"},
 		{"-ingest-ring", "0"}, {"-wal-segment", "65536"}, {"-trace-store", "65536"},
+		{"-reextract", "-1"},
 	} {
 		if _, _, err := parseFlags(gone); err == nil {
 			t.Fatalf("removed flag %s accepted", gone[0])

@@ -142,8 +142,8 @@ func TestDifferentialForcedAnchors(t *testing.T) {
 	}
 }
 
-// BenchmarkIngest times ingest alone: validation and the O(batch) ring
-// copy. The curves are settled by the next read; BenchmarkIngestSettle
+// BenchmarkIngest times ingest alone: validation, the O(batch) timestamp
+// copy and prefix-sum append. The curves are settled by the next read; BenchmarkIngestSettle
 // times the two together.
 func BenchmarkIngest(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

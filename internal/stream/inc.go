@@ -28,13 +28,16 @@
 // cache lines per sample and mispredict on every pop loop). Worst case
 // (data crafted so an extremum expires every batch) degrades to O(maxOff·W)
 // per batch — the cost of one batch kernel run, which is the natural
-// ceiling anyway. Memory is O(W + maxOff), independent of data.
+// ceiling anyway. The trackers read the stream's own rings, so the window
+// is stored once; the O(maxOff) extrema are allocated at the first read.
 //
 // Results are BIT-IDENTICAL to kernel.Extract over the current window
-// contents: both compute exact int64 differences of the same values (the
-// prefix-sum base cancels in every difference). Stream re-runs the batch
-// kernel periodically as a correctness anchor and counts any disagreement in
-// a drift counter (see Stream).
+// contents: both compute exact int64 differences of the same values. The
+// prefix-sum base cancels in every difference, and so does int64
+// wrap-around: an endless stream's running sum may overflow, but a window
+// difference that fits in int64 is exact modulo 2⁶⁴. Stream re-runs the
+// batch kernel periodically as a correctness anchor and counts any
+// disagreement in a drift counter (see Stream).
 package stream
 
 import (
@@ -49,18 +52,19 @@ var ErrBadConfig = errors.New("stream: invalid configuration")
 
 // Inc maintains, for every offset k = 1..maxOff, the extrema of the
 // k-differences data[j+k] − data[j] over all windows contained in the last
-// `window` pushed data points. It is the incremental counterpart of
-// kernel.Extract; Push costs expected amortized O(maxOff).
+// `window` data points. It keeps no copy of the data: CatchUp reads the
+// caller's ring, so the caller's window is the only one. It is the
+// incremental counterpart of kernel.Extract; catching up costs expected
+// amortized O(maxOff) per data point.
 type Inc struct {
 	maxOff int
-	window int     // max data points retained
-	ring   []int64 // last ≤ window data points, ring[i % window]
-	total  int64   // data points ever pushed
+	window int   // data points the caller's ring retains
+	total  int64 // data points caught up with
 
-	// Per-offset extrema over the live windows, k−1 indexed. The idx
-	// arrays hold the LATEST window start achieving the extremum (ties
-	// break to the freshest index, maximizing its lifetime); −1 marks an
-	// offset that has never been scanned.
+	// Per-offset extrema over the live windows, k−1 indexed, allocated by
+	// the first CatchUp. The idx arrays hold the LATEST window start
+	// achieving the extremum (ties break to the freshest index, maximizing
+	// its lifetime); −1 marks an offset not scanned since the last Reset.
 	maxVal []int64
 	maxIdx []int64
 	minVal []int64
@@ -75,33 +79,19 @@ func NewInc(maxOff, window int) (*Inc, error) {
 		return nil, fmt.Errorf("%w: maxOff=%d, window=%d (need 1 ≤ maxOff ≤ window−1)",
 			ErrBadConfig, maxOff, window)
 	}
-	x := &Inc{
-		maxOff: maxOff,
-		window: window,
-		ring:   make([]int64, window),
-		maxVal: make([]int64, maxOff),
-		maxIdx: make([]int64, maxOff),
-		minVal: make([]int64, maxOff),
-		minIdx: make([]int64, maxOff),
-	}
-	for i := 0; i < maxOff; i++ {
-		x.maxIdx[i] = -1
-		x.minIdx[i] = -1
-	}
-	return x, nil
+	return &Inc{maxOff: maxOff, window: window}, nil
 }
 
-// Reset empties the extractor in place, keeping its buffers: afterwards it
-// behaves exactly like a fresh NewInc with the same parameters.
+// Reset forgets every data point and recorded extremum, keeping the
+// buffers: the next CatchUp rescans every offset from scratch.
 func (x *Inc) Reset() {
 	x.total = 0
 	for i := range x.maxIdx {
-		x.maxVal[i], x.maxIdx[i] = 0, -1
-		x.minVal[i], x.minIdx[i] = 0, -1
+		x.maxIdx[i], x.minIdx[i] = -1, -1
 	}
 }
 
-// Total returns the number of data points ever pushed.
+// Total returns the number of data points caught up with.
 func (x *Inc) Total() int64 { return x.total }
 
 // Retained returns the number of data points currently in the window.
@@ -122,65 +112,44 @@ func (x *Inc) EffOff() int {
 	return e
 }
 
-// Push appends one data point. Equivalent to PushBatch of a single value.
-func (x *Inc) Push(v int64) {
-	var one [1]int64
-	one[0] = v
-	x.pushChunk(one[:])
-}
-
-// PushBatch appends every value of vs in ingest order — the service ingest
-// fast path. The final state is identical to calling Push per value, but
-// each offset's extremum is advanced by ONE linear scan over the batch's
-// new windows, so the per-offset state (4 int64) stays in registers while a
-// whole chunk streams through it.
-func (x *Inc) PushBatch(vs []int64) {
-	// A chunk is capped at window−maxOff points: the ring slots it
-	// overwrites then belong only to data points no live window still
-	// references, so every difference a scan needs is available.
-	maxChunk := x.window - x.maxOff
-	for len(vs) > maxChunk {
-		x.pushChunk(vs[:maxChunk])
-		vs = vs[maxChunk:]
+// CatchUp advances the extrema from the data points already caught up with
+// to the first `total` ones. ring holds the newest min(total, window) of
+// them, data point i at ring[i % window] (len(ring) == window), so every
+// difference a live window needs is there however long the backlog is.
+//
+// Each offset makes ONE linear scan over its new windows, keeping its
+// state (4 int64) in registers while the backlog streams through it. If a
+// recorded extremal window has slid out — a backlog of a whole window
+// expires them all — the offset rescans its live range instead. Either way
+// the state is the (value, latest index) of each extremum over the live
+// windows, so it does not depend on how the backlog was split.
+func (x *Inc) CatchUp(ring []int64, total int64) {
+	if x.maxVal == nil {
+		m := x.maxOff
+		buf := make([]int64, 4*m)
+		x.maxVal, x.maxIdx, x.minVal, x.minIdx = buf[:m:m], buf[m:2*m:2*m], buf[2*m:3*m:3*m], buf[3*m:]
+		x.Reset() // every offset unscanned
 	}
-	if len(vs) > 0 {
-		x.pushChunk(vs)
-	}
-}
-
-func (x *Inc) pushChunk(vs []int64) {
-	w := int64(x.window)
 	start := x.total
-	for i, v := range vs {
-		x.ring[(start+int64(i))%w] = v
-	}
-	x.total += int64(len(vs))
-	low := x.total - w // oldest live window start (clamped below)
-	if low < 0 {
-		low = 0
-	}
-	kEff := x.total - 1
-	if kEff > int64(x.maxOff) {
-		kEff = int64(x.maxOff)
-	}
+	x.total = total
+	kEff := min(total-1, int64(x.maxOff))
+	w := int64(x.window)
+	low := max(total-w, 0) // oldest live window start
 	for k := int64(1); k <= kEff; k++ {
-		jhi := x.total - k // windows are [j, j+k], j < jhi
+		jhi := total - k // windows are [j, j+k], j < jhi
 		mx, mxj := x.maxVal[k-1], x.maxIdx[k-1]
 		mn, mnj := x.minVal[k-1], x.minIdx[k-1]
-		a := start - k // first NEW window (ends inside this chunk)
-		if a < 0 {
-			a = 0
-		}
+		a := max(start-k, 0) // first NEW window
 		if mxj < low || mnj < low {
-			// A recorded extremal window expired (or the offset just
-			// activated): rescan the whole live range. Rescanning windows
-			// the fresh extremum already covers is idempotent, so one
-			// fused scan serves both extrema.
+			// A recorded extremal window expired (or the offset was just
+			// activated or forgotten): rescan the whole live range.
+			// Rescanning windows the fresh extremum already covers is
+			// idempotent, so one fused scan serves both extrema.
 			a = low
 			mx, mxj = math.MinInt64, -1
 			mn, mnj = math.MaxInt64, -1
 		}
-		mx, mxj, mn, mnj = scanRange(x.ring, a, jhi, k, w, mx, mxj, mn, mnj)
+		mx, mxj, mn, mnj = scanRange(ring, a, jhi, k, w, mx, mxj, mn, mnj)
 		x.maxVal[k-1], x.maxIdx[k-1] = mx, mxj
 		x.minVal[k-1], x.minIdx[k-1] = mn, mnj
 	}
@@ -337,15 +306,4 @@ func (x *Inc) AppendCurves(up, lo []int64) (outUp, outLo []int64) {
 	up = append(up, x.maxVal[:eff]...)
 	lo = append(lo, x.minVal[:eff]...)
 	return up, lo
-}
-
-// Rebase subtracts delta from every retained data point. All maintained
-// k-differences are invariant under a uniform shift, so only the ring
-// changes; the caller must shift every subsequently pushed value by the same
-// delta. Stream uses this to keep running prefix sums far from int64
-// overflow on effectively endless streams.
-func (x *Inc) Rebase(delta int64) {
-	for i := range x.ring {
-		x.ring[i] -= delta
-	}
 }

@@ -1,15 +1,41 @@
 package stream
 
-// PushBatch is the ingest fast path: chunked ring writes plus one linear
-// scan per offset over the chunk's new windows (with full rescans whenever a
-// recorded extremum expires). These tests pin it bit-for-bit to the
-// one-value-at-a-time Push across chunk boundaries, ring wraparound and
-// degenerate window/offset combinations.
+// CatchUp is the settle fast path: one linear scan per offset over the
+// backlog's new windows (with full rescans whenever a recorded extremum
+// expires), reading the caller's ring. These tests pin it bit-for-bit —
+// values and indices — to catching up one data point at a time, across
+// backlogs up to several windows, ring wraparound and degenerate
+// window/offset combinations.
 
 import (
 	"math/rand"
 	"testing"
 )
+
+// ringInc is an Inc that owns its data ring, for tests that drive the
+// tracker on its own: push writes values into the ring and catches up.
+type ringInc struct {
+	*Inc
+	ring    []int64
+	written int64
+}
+
+func newRingInc(t testing.TB, maxOff, window int) *ringInc {
+	t.Helper()
+	x, err := NewInc(maxOff, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ringInc{Inc: x, ring: make([]int64, window)}
+}
+
+func (r *ringInc) push(vs ...int64) {
+	for _, v := range vs {
+		r.ring[r.written%int64(len(r.ring))] = v
+		r.written++
+	}
+	r.CatchUp(r.ring, r.written)
+}
 
 // incEqual compares the full observable state of two extractors: retained
 // counts and every live extremum.
@@ -31,50 +57,33 @@ func incEqual(t *testing.T, got, want *Inc, ctx string) {
 		if gu != wu || gl != wl {
 			t.Fatalf("%s: k=%d: batch (%d,%d), sequential (%d,%d)", ctx, k, gu, gl, wu, wl)
 		}
+		if got.maxIdx[k-1] != want.maxIdx[k-1] || got.minIdx[k-1] != want.minIdx[k-1] {
+			t.Fatalf("%s: k=%d: batch indices (%d,%d), sequential (%d,%d)", ctx, k,
+				got.maxIdx[k-1], got.minIdx[k-1], want.maxIdx[k-1], want.minIdx[k-1])
+		}
 	}
 }
 
-func TestPushBatchMatchesPush(t *testing.T) {
+// TestCatchUpMatchesPerSample catches one tracker up over whole backlogs of
+// 1, 7, W−K, W−1, W and 3W data points (and random sizes between) and its
+// twin one data point at a time, and requires identical values and indices
+// after every backlog.
+func TestCatchUpMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
-	for trial := 0; trial < 60; trial++ {
-		window := 2 + rng.Intn(40)
-		maxOff := 1 + rng.Intn(window-1)
-		total := 1 + rng.Intn(6*window) // several ring wraps
-
-		batch, err := NewInc(maxOff, window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := NewInc(maxOff, window)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		data := make([]int64, total)
-		for i := range data {
-			// Mix drifting runs (extrema survive) with jumps (extrema expire).
-			if rng.Intn(3) == 0 {
-				data[i] = rng.Int63n(1 << 30)
-			} else if i > 0 {
-				data[i] = data[i-1] + rng.Int63n(100) - 50
-			}
-		}
-
-		for i := 0; i < total; {
-			// Batch sizes deliberately straddle the window−maxOff chunk cap.
-			b := 1 + rng.Intn(2*window)
-			if i+b > total {
-				b = total - i
-			}
-			batch.PushBatch(data[i : i+b])
+	check := func(window, maxOff int, data []int64, sizes func() int) {
+		t.Helper()
+		batch := newRingInc(t, maxOff, window)
+		seq := newRingInc(t, maxOff, window)
+		for i := 0; i < len(data); {
+			b := min(sizes(), len(data)-i)
+			batch.push(data[i : i+b]...)
 			for _, v := range data[i : i+b] {
-				seq.Push(v)
+				seq.push(v)
 			}
 			i += b
-			incEqual(t, batch, seq, "mid-stream")
+			incEqual(t, batch.Inc, seq.Inc, "mid-stream")
 		}
-
-		// AppendCurves must agree too (it reads every front at once).
+		// AppendCurves must agree too (it reads every offset at once).
 		bu, bl := batch.AppendCurves(nil, nil)
 		su, sl := seq.AppendCurves(nil, nil)
 		if len(bu) != len(su) {
@@ -86,23 +95,29 @@ func TestPushBatchMatchesPush(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPushBatchSingleChunkCap exercises the degenerate maxOff = window−1
-// configuration where every chunk is a single value.
-func TestPushBatchSingleChunkCap(t *testing.T) {
-	batch, err := NewInc(3, 4)
-	if err != nil {
-		t.Fatal(err)
+	for trial := 0; trial < 60; trial++ {
+		window := 2 + rng.Intn(40)
+		maxOff := 1 + rng.Intn(window-1)
+		if trial%10 == 0 {
+			maxOff = window - 1 // W−K = 1: every window is live for one point only
+		}
+		data := make([]int64, 1+rng.Intn(8*window)) // several ring wraps
+		for i := range data {
+			// Mix drifting runs (extrema survive) with jumps (extrema expire).
+			if rng.Intn(3) == 0 {
+				data[i] = rng.Int63n(1 << 30)
+			} else if i > 0 {
+				data[i] = data[i-1] + rng.Int63n(100) - 50
+			}
+		}
+		backlogs := []int{1, 7, window - maxOff, window - 1, window, 3 * window}
+		check(window, maxOff, data, func() int {
+			if rng.Intn(4) == 0 {
+				return 1 + rng.Intn(2*window)
+			}
+			return backlogs[rng.Intn(len(backlogs))]
+		})
 	}
-	seq, err := NewInc(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []int64{5, 1, 4, 9, 2, 2, 7, 0, 3, 8}
-	batch.PushBatch(data)
-	for _, v := range data {
-		seq.Push(v)
-	}
-	incEqual(t, batch, seq, "chunk-cap-1")
+	// The smallest degenerate shape, by hand: maxOff = window−1.
+	check(4, 3, []int64{5, 1, 4, 9, 2, 2, 7, 0, 3, 8}, func() int { return 10 })
 }

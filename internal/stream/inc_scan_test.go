@@ -113,8 +113,10 @@ func TestScanRangeDifferential(t *testing.T) {
 	}
 }
 
-// refInc mirrors Inc but uses the scalar oracle scan, so whole-structure
-// evolution (rescans on expiry, chunk splitting) is compared end to end.
+// refInc mirrors the original self-contained Inc (its own ring, batches
+// split into chunks of window−maxOff) with the scalar oracle scan, so
+// whole-structure evolution (rescans on expiry, backlog splitting) is
+// compared end to end against an independent implementation.
 type refInc struct {
 	maxOff, window int
 	ring           []int64
@@ -203,20 +205,17 @@ func TestIncDifferentialVsReference(t *testing.T) {
 	}
 	for si, shape := range shapes {
 		for _, cfg := range []struct{ maxOff, window int }{{3, 8}, {7, 20}, {16, 64}} {
-			inc, err := NewInc(cfg.maxOff, cfg.window)
-			if err != nil {
-				t.Fatal(err)
-			}
+			inc := newRingInc(t, cfg.maxOff, cfg.window)
 			ref := newRefInc(cfg.maxOff, cfg.window)
 			n := 0
 			for batch := 0; batch < 60; batch++ {
-				b := 1 + rng.Intn(2*cfg.window) // batches larger than a chunk split
+				b := 1 + rng.Intn(2*cfg.window) // backlogs up to two windows
 				vs := make([]int64, b)
 				for i := range vs {
 					vs[i] = shape(n + i)
 				}
 				n += b
-				inc.PushBatch(vs)
+				inc.push(vs...)
 				ref.push(vs)
 				for k := 0; k < cfg.maxOff; k++ {
 					if inc.maxVal[k] != ref.maxVal[k] || inc.maxIdx[k] != ref.maxIdx[k] ||

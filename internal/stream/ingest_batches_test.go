@@ -38,18 +38,18 @@ func buildBatches(rng *rand.Rand, nBatches int) []Batch {
 
 func streamStateEqual(t *testing.T, tag string, a, b *Stream) {
 	t.Helper()
-	if a.total != b.total || a.lastT != b.lastT || a.prefixLast != b.prefixLast ||
+	if a.total != b.total || a.lastT != b.lastT || a.settled != b.settled ||
 		a.sinceAnchor != b.sinceAnchor || a.reextractions != b.reextractions ||
 		a.drift != b.drift || a.violations != b.violations {
-		t.Fatalf("%s: scalar state diverged:\n seq (total=%d lastT=%d pre=%d anchor=%d reex=%d drift=%d viol=%d)\n coa (total=%d lastT=%d pre=%d anchor=%d reex=%d drift=%d viol=%d)",
+		t.Fatalf("%s: scalar state diverged:\n seq (total=%d lastT=%d settled=%d anchor=%d reex=%d drift=%d viol=%d)\n coa (total=%d lastT=%d settled=%d anchor=%d reex=%d drift=%d viol=%d)",
 			tag,
-			a.total, a.lastT, a.prefixLast, a.sinceAnchor, a.reextractions, a.drift, a.violations,
-			b.total, b.lastT, b.prefixLast, b.sinceAnchor, b.reextractions, b.drift, b.violations)
+			a.total, a.lastT, a.settled, a.sinceAnchor, a.reextractions, a.drift, a.violations,
+			b.total, b.lastT, b.settled, b.sinceAnchor, b.reextractions, b.drift, b.violations)
 	}
 	if a.version.Load() != b.version.Load() {
 		t.Fatalf("%s: version diverged: seq %d, coalesced %d", tag, a.version.Load(), b.version.Load())
 	}
-	if !equal(a.demands, b.demands) || !equal(a.times, b.times) {
+	if !equal(a.prefix, b.prefix) || !equal(a.times, b.times) {
 		t.Fatalf("%s: ring contents diverged", tag)
 	}
 	if !equal(a.pre.maxVal, b.pre.maxVal) || !equal(a.pre.maxIdx, b.pre.maxIdx) ||

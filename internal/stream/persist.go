@@ -19,13 +19,12 @@ import (
 //     Contracts are control-plane configuration; operators re-apply them
 //     after a restart.
 //   - The Inc extrema arrays. The retained rings fully determine them:
-//     Restore rebuilds the per-offset extrema from the window with
-//     rebuildLocked, the same replay a settle uses after a long backlog,
-//     so the restored curves are value-identical without trusting
-//     redundant (and corruptible) extrema bytes.
+//     Restore rescans the window with rebuildLocked, the same scan a
+//     settle makes after a long backlog, so the restored curves are
+//     value-identical without trusting redundant (and corruptible)
+//     extrema bytes.
 //   - The absolute prefix-sum base. Curves are differences of prefix sums,
-//     which are shift-invariant; Restore rebases at 0 like a post-rebase
-//     stream would.
+//     which are shift-invariant, so Restore starts the window's sums at 0.
 
 // stateMagic versions the binary State encoding; bump it when the layout
 // changes so a stale snapshot is rejected instead of misparsed.
@@ -78,8 +77,8 @@ func (s *Stream) ExportState() State {
 		SinceAnchor:    s.sinceAnchor,
 		Reextractions:  s.reextractions,
 		Drift:          s.drift,
-		Demands:        s.orderedLocked(nil, s.demands),
-		Times:          s.orderedLocked(nil, s.times),
+		Demands:        s.demandsLocked(nil),
+		Times:          appendRing(nil, s.times, s.total-int64(s.inWindowLocked()), s.total),
 	}
 }
 
@@ -104,12 +103,13 @@ func Restore(cfg Config, st State) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := int64(len(st.Demands))
-	start := st.Total - n
-	for i := int64(0); i < n; i++ {
-		slot := (start + i) % int64(s.window)
-		s.demands[slot] = st.Demands[i]
-		s.times[slot] = st.Times[i]
+	start := st.Total - int64(len(st.Demands))
+	var p int64 // the base point prefix[start] is New's 0
+	for i, d := range st.Demands {
+		at := start + int64(i)
+		s.times[at%int64(len(s.times))] = st.Times[i]
+		p += d
+		s.prefix[(at+1)%int64(len(s.prefix))] = p
 	}
 	s.total = st.Total
 	s.lastT = st.LastT

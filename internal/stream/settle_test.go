@@ -123,8 +123,8 @@ func TestSettleOnReadDifferential(t *testing.T) {
 }
 
 // TestSettleIsLazy pins where the curve work happens: ingest never touches
-// the extrema or runs the anchor, and the first read after a backlog of a
-// window or more pays exactly one rebuild and one anchor.
+// (or allocates) the extrema or runs the anchor, and the first read after a
+// backlog of a window or more pays exactly one rebuild and one anchor.
 func TestSettleIsLazy(t *testing.T) {
 	const window = 64
 	s, err := New(Config{Window: window, MaxK: 16})
@@ -147,8 +147,8 @@ func TestSettleIsLazy(t *testing.T) {
 	if st := s.Stats(); st.Reextractions != 0 || st.Total != 4*window {
 		t.Fatalf("after ingest only: %+v, want 0 re-extractions", st)
 	}
-	if s.pre.Total() != 1 { // just the prefix-sum base point
-		t.Fatalf("ingest pushed %d points into the extrema", s.pre.Total()-1)
+	if s.pre.Total() != 0 || s.pre.maxVal != nil || s.spi.maxVal != nil {
+		t.Fatalf("ingest caught the extrema up with %d points", s.pre.Total())
 	}
 
 	snap, err := s.Snapshot()
@@ -172,8 +172,8 @@ func TestSettleIsLazy(t *testing.T) {
 		t.Fatalf("settled read re-settled %d (rebuilt %v) or moved the version", snap.Settled, snap.Rebuilt)
 	}
 
-	// A backlog shorter than the window is pushed, not rebuilt; the anchor
-	// waits until a window's worth has been settled.
+	// A backlog shorter than the window is caught up, not rebuilt; the
+	// anchor waits until a window's worth has been settled.
 	feed(5)
 	snap, err = s.Snapshot()
 	if err != nil {

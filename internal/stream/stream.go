@@ -35,15 +35,34 @@ const (
 	DefaultMaxK   = 256
 )
 
-// rebaseAt is the running-prefix-sum magnitude beyond which the next
-// re-extraction rebases the demand Inc (differences are shift-invariant, so
-// this is invisible to every query). Variable so tests can lower it.
-var rebaseAt int64 = 1 << 61
+// scratch holds the temporaries of one settling read: the anchor's kernel
+// input and outputs, and the tables Snapshot copies into its curves.
+type scratch struct{ data, up, lo, up2, lo2 []int64 }
 
-// settleChunk bounds the prefix-sum buffer a settle feeds Inc.PushBatch
-// from. The buffer lives on the settle's stack, so catching up allocates
-// nothing and keeps no per-stream scratch.
-const settleChunk = 256
+// scratchFree is a small free list of scratch shared by every stream, so a
+// stream that is never read carries none. A buffered channel rather than a
+// sync.Pool: the race detector makes a pool drop items at random, which
+// would turn the allocation guards flaky. A scratch is held only for one
+// read under one stream's lock, so 16 covers the reads that run at once
+// on any likely GOMAXPROCS; past that a read allocates and the surplus is
+// dropped.
+var scratchFree = make(chan *scratch, 16)
+
+func getScratch() *scratch {
+	select {
+	case sc := <-scratchFree:
+		return sc
+	default:
+		return new(scratch)
+	}
+}
+
+func putScratch(sc *scratch) {
+	select {
+	case scratchFree <- sc:
+	default:
+	}
+}
 
 // Config parameterizes a Stream. The zero value picks service defaults.
 type Config struct {
@@ -54,13 +73,12 @@ type Config struct {
 	// Window. Default min(256, Window).
 	MaxK int
 	// ReextractEvery is the anchor cadence: a full batch re-extraction via
-	// internal/kernel that cross-checks the incremental state (and rebases
-	// the running prefix sum). The curves are settled lazily on read (see
-	// Stream), and a settle runs the anchor once at least ReextractEvery
+	// internal/kernel that cross-checks the incremental state. The curves
+	// are settled lazily on read (see Stream), and a settle runs the anchor once at least ReextractEvery
 	// samples have been applied since the last one — so the anchor always
 	// checks settled state, at read time, not at fixed sample positions.
-	// 0 means Window: every settle that rebuilds from a backlog of a full
-	// window is cross-checked. Negative disables the anchor.
+	// 0 means Window: every settle of a backlog of a full window is
+	// cross-checked. Negative disables the anchor.
 	ReextractEvery int
 }
 
@@ -93,14 +111,13 @@ func (c Config) withDefaults() Config {
 // Network-Calculus queries of the paper evaluated against the CURRENT
 // window. All methods are safe for concurrent use.
 //
-// The curves are settled on read. Ingest only appends to the raw rings (and
+// The curves are settled on read. Ingest only appends to the two rings (and
 // feeds the contract monitor); the first read that needs curves — Workload,
 // Spans, Snapshot, Reextract, ExportState — catches the incremental extrema
-// up with everything ingested since the previous read. A backlog shorter
-// than the window is pushed incrementally; a backlog of a window or more
-// rebuilds the extrema from the retained window, because every window they
-// were last computed over has slid out. Answers are the same either way,
-// and a settle does not move Version.
+// up with everything ingested since the previous read, in one pass over
+// the rings. A backlog of a window or more has expired every recorded
+// extremum, so that pass rescans the whole window: the settle "rebuilds".
+// Answers are the same either way, and a settle does not move Version.
 type Stream struct {
 	mu     sync.Mutex
 	window int
@@ -123,15 +140,18 @@ type Stream struct {
 	lastMut atomic.Int64
 	_       [64 - 16]byte
 
-	demands []int64 // ring of the last ≤ window raw demands
-	times   []int64 // ring of the last ≤ window raw timestamps
-	total   int64   // samples ever ingested
-	lastT   int64   // largest timestamp seen
+	// The window, stored once: times[i % window] is the timestamp of
+	// sample i, and prefix[i % (window+1)] the sum of the first i demands
+	// (wrapping in int64; differences stay exact). Demand i is
+	// prefix[i+1] − prefix[i].
+	times  []int64
+	prefix []int64
+	total  int64 // samples ever ingested
+	lastT  int64 // largest timestamp seen
 
-	settled    int64 // samples applied to pre/spi; settled ≤ total
-	prefixLast int64 // demand prefix sum at sample `settled` (rebasable)
-	pre        *Inc  // over prefix sums: offsets 1..maxK
-	spi        *Inc  // over timestamps: offsets 1..maxK−1 (nil when maxK == 1)
+	settled int64 // samples pre/spi have caught up with; settled ≤ total
+	pre     *Inc  // over prefix: offsets 1..maxK
+	spi     *Inc  // over times: offsets 1..maxK−1 (nil when maxK == 1)
 
 	monitor    *core.Monitor   // nil until a contract is set
 	firstViol  *core.Violation // first contract violation ever seen
@@ -141,14 +161,7 @@ type Stream struct {
 	reextractions int64 // anchor runs performed
 	drift         int64 // anchor runs that disagreed with the incremental state
 
-	// Scratch buffers so Observe and the anchor allocate nothing in
-	// steady state.
-	obsT, obsD  [1]int64 // Observe's single-sample batch
-	scratchData []int64
-	scratchUp   []int64
-	scratchLo   []int64
-	scratchUp2  []int64
-	scratchLo2  []int64
+	obsT, obsD [1]int64 // Observe's single-sample batch, allocation-free
 }
 
 // New builds an empty stream.
@@ -161,19 +174,16 @@ func New(cfg Config) (*Stream, error) {
 		return nil, fmt.Errorf("%w: maxK=%d (need ≥ 1)", ErrBadConfig, cfg.MaxK)
 	}
 	s := &Stream{
-		window:  cfg.Window,
-		maxK:    cfg.MaxK,
-		reint:   cfg.ReextractEvery,
-		demands: make([]int64, cfg.Window),
-		times:   make([]int64, cfg.Window),
+		window: cfg.Window,
+		maxK:   cfg.MaxK,
+		reint:  cfg.ReextractEvery,
+		times:  make([]int64, cfg.Window),
+		prefix: make([]int64, cfg.Window+1), // window+1 sums cover window samples
 	}
-	// Prefix sums: window+1 data points cover window samples; the initial
-	// base point 0 is pushed up front.
 	pre, err := NewInc(cfg.MaxK, cfg.Window+1)
 	if err != nil {
 		return nil, err
 	}
-	pre.Push(0)
 	s.pre = pre
 	if cfg.MaxK >= 2 {
 		spi, err := NewInc(cfg.MaxK-1, cfg.Window)
@@ -200,7 +210,7 @@ type IngestResult struct {
 // Ingest appends a batch of samples: timestamps (non-decreasing, not before
 // anything already ingested) with their per-activation cycle demands
 // (non-negative). Validation is all-or-nothing: a bad batch changes no
-// state. Ingest is an O(batch) copy into the raw rings plus the contract
+// state. Ingest is an O(batch) append to the two rings plus the contract
 // monitor; the curves catch up on the next read (see Stream).
 func (s *Stream) Ingest(ts, demands []int64) (IngestResult, error) {
 	s.mu.Lock()
@@ -261,7 +271,7 @@ func (s *Stream) Observe(t, demand int64) (IngestResult, error) {
 
 // ingestLocked applies a pre-validated batch: timestamps non-decreasing
 // and ≥ lastT, demands non-negative, len(ts) == len(demands) ≥ 1. It writes
-// the raw rings and feeds the monitor; pre/spi stay behind until a settle.
+// the rings and feeds the monitor; pre/spi stay behind until a settle.
 func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	// Validation passed, so state WILL change. The deferred bump runs
 	// before the caller's unlock (LIFO), so it also covers error exits
@@ -270,13 +280,21 @@ func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	defer s.bumpLocked()
 
 	res := IngestResult{Accepted: len(ts)}
-	// Only the newest window samples of the batch survive in the rings.
+	// Only the newest window timestamps of the batch survive in the ring.
 	skip := max(len(ts)-s.window, 0)
 	slot := int((s.total + int64(skip)) % int64(s.window))
-	n := copy(s.demands[slot:], demands[skip:])
-	copy(s.times[slot:], ts[skip:skip+n])
-	copy(s.demands, demands[skip+n:])
+	n := copy(s.times[slot:], ts[skip:])
 	copy(s.times, ts[skip+n:])
+	w := int64(len(s.prefix))
+	i := s.total % w
+	p := s.prefix[i]
+	for _, d := range demands {
+		p += d
+		if i++; i == w {
+			i = 0
+		}
+		s.prefix[i] = p
+	}
 	s.total += int64(len(ts))
 	s.lastT = ts[len(ts)-1]
 	if s.monitor != nil {
@@ -407,23 +425,35 @@ func (s *Stream) effKLocked() int {
 	return k
 }
 
-// orderedLocked appends the retained samples of ring to dst in ingest order
-// (oldest first) and returns the extended slice.
-func (s *Stream) orderedLocked(dst, ring []int64) []int64 {
-	n := s.inWindowLocked()
-	start := s.total - int64(n)
-	for i := int64(0); i < int64(n); i++ {
-		dst = append(dst, ring[(start+i)%int64(s.window)])
+// appendRing appends the data points from..to−1 of ring (point i at
+// ring[i % len(ring)]) to dst and returns the extended slice.
+func appendRing(dst, ring []int64, from, to int64) []int64 {
+	for i := from; i < to; i++ {
+		dst = append(dst, ring[i%int64(len(ring))])
 	}
 	return dst
+}
+
+// demandsLocked appends the retained demands to dst in ingest order
+// (oldest first): each is the difference of two adjacent prefix sums.
+func (s *Stream) demandsLocked(dst []int64) []int64 {
+	n := s.inWindowLocked()
+	if n == 0 {
+		return dst
+	}
+	from := len(dst)
+	dst = appendRing(dst, s.prefix, s.total-int64(n), s.total+1)
+	for i := from; i < from+n; i++ {
+		dst[i] = dst[i+1] - dst[i]
+	}
+	return dst[:from+n]
 }
 
 // reextractLocked runs the batch kernel over the current window contents and
 // compares bit for bit with the settled incremental state — the correctness
 // anchor. Callers settle first.
 // Disagreement increments the drift counter and rebuilds the incremental
-// state from the window (the anchor wins). Also rebases the running prefix
-// sum when it approaches the int64 horizon.
+// state from the window (the anchor wins).
 func (s *Stream) reextractLocked() error {
 	s.sinceAnchor = 0
 	s.reextractions++
@@ -431,19 +461,18 @@ func (s *Stream) reextractLocked() error {
 	if n == 0 {
 		return nil
 	}
+	sc := getScratch()
+	defer putScratch(sc)
 
 	// Workload curves: prefix sums of the window's demands, base 0.
-	s.scratchData = s.scratchData[:0]
-	s.scratchData = append(s.scratchData, 0)
-	s.scratchData = s.orderedLocked(s.scratchData, s.demands)
-	var sum int64
-	for i := 1; i <= n; i++ {
-		sum += s.scratchData[i]
-		s.scratchData[i] = sum
+	start := s.total - int64(n)
+	sc.data = appendRing(sc.data[:0], s.prefix, start, s.total+1)
+	for i := n; i >= 0; i-- {
+		sc.data[i] -= sc.data[0]
 	}
 	effK := s.effKLocked()
-	s.scratchUp = grow(s.scratchUp, effK+1)
-	s.scratchLo = grow(s.scratchLo, effK+1)
+	sc.up = grow(sc.up, effK+1)
+	sc.lo = grow(sc.lo, effK+1)
 	// Workers: 1 — the anchor runs under the stream mutex, and the kernel's
 	// pool (its default at this window·K size) would spawn GOMAXPROCS
 	// goroutines per anchor while holding it: scheduler allocations (malg/
@@ -451,34 +480,26 @@ func (s *Stream) reextractLocked() error {
 	// regression — plus worker fan-out behind the most contended lock in
 	// the service. Single-threaded extraction here is also what keeps each
 	// registry shard's goroutine independent of the others.
-	if err := kernel.ExtractInto(s.scratchData, effK, kernel.Options{Workers: 1}, s.scratchUp, s.scratchLo); err != nil {
+	if err := kernel.ExtractInto(sc.data, effK, kernel.Options{Workers: 1}, sc.up, sc.lo); err != nil {
 		return err
 	}
-	s.scratchUp2, s.scratchLo2 = s.pre.AppendCurves(s.scratchUp2[:0], s.scratchLo2[:0])
-	agree := equal(s.scratchUp[:effK+1], s.scratchUp2) && equal(s.scratchLo[:effK+1], s.scratchLo2)
+	sc.up2, sc.lo2 = s.pre.AppendCurves(sc.up2[:0], sc.lo2[:0])
+	agree := equal(sc.up[:effK+1], sc.up2) && equal(sc.lo[:effK+1], sc.lo2)
 
 	// Span tables: the window's timestamps, offsets up to effK−1.
 	if s.spi != nil && n >= 2 {
-		s.scratchData = s.orderedLocked(s.scratchData[:0], s.times)
+		sc.data = appendRing(sc.data[:0], s.times, start, s.total)
 		off := effK - 1
-		if err := kernel.ExtractInto(s.scratchData, off, kernel.Options{Workers: 1}, s.scratchUp, s.scratchLo); err != nil {
+		if err := kernel.ExtractInto(sc.data, off, kernel.Options{Workers: 1}, sc.up, sc.lo); err != nil {
 			return err
 		}
-		s.scratchUp2, s.scratchLo2 = s.spi.AppendCurves(s.scratchUp2[:0], s.scratchLo2[:0])
-		agree = agree && equal(s.scratchUp[:off+1], s.scratchUp2) && equal(s.scratchLo[:off+1], s.scratchLo2)
+		sc.up2, sc.lo2 = s.spi.AppendCurves(sc.up2[:0], sc.lo2[:0])
+		agree = agree && equal(sc.up[:off+1], sc.up2) && equal(sc.lo[:off+1], sc.lo2)
 	}
 
 	if !agree {
 		s.drift++
 		s.rebuildLocked()
-		return nil
-	}
-	if s.prefixLast >= rebaseAt {
-		// The window's demand sum is the new prefixLast; differences are
-		// invariant, so every maintained value survives unchanged.
-		windowSum := sum
-		s.pre.Rebase(s.prefixLast - windowSum)
-		s.prefixLast = windowSum
 	}
 	return nil
 }
@@ -486,7 +507,7 @@ func (s *Stream) reextractLocked() error {
 // settleLocked catches pre/spi up with every sample ingested since the last
 // settle, then runs the anchor if at least ReextractEvery samples have been
 // applied since the previous one. It reports how many samples it settled
-// and whether it rebuilt from the window instead of pushing incrementally.
+// and whether the backlog was a window or more (every offset rescanned).
 func (s *Stream) settleLocked() (settled int, rebuilt bool, err error) {
 	settled, rebuilt = s.catchUpLocked()
 	if s.reint > 0 && s.sinceAnchor >= s.reint {
@@ -496,60 +517,36 @@ func (s *Stream) settleLocked() (settled int, rebuilt bool, err error) {
 }
 
 // catchUpLocked applies the unsettled backlog to pre/spi and charges it to
-// the anchor cadence. A backlog of a window or more has overwritten every
-// sample the extrema were last computed from, so it rebuilds.
+// the anchor cadence.
 func (s *Stream) catchUpLocked() (settled int, rebuilt bool) {
 	backlog := s.total - s.settled
 	if backlog == 0 {
 		return 0, false
 	}
-	if backlog >= int64(s.window) {
-		s.rebuildLocked()
-		rebuilt = true
-	} else {
-		s.pushLocked()
-	}
+	s.applyLocked()
 	if s.reint > 0 {
 		s.sinceAnchor += int(backlog)
 	}
-	return int(backlog), rebuilt
+	return int(backlog), backlog >= int64(s.window)
 }
 
-// rebuildLocked resets pre/spi in place and replays the retained window
-// into them — the settle path for a long backlog, the recovery path should
-// the anchor ever disagree, and Restore's way back from a State.
+// rebuildLocked forgets every recorded extremum and catches pre/spi up from
+// the retained window — the recovery path should the anchor ever disagree,
+// and Restore's way back from a State. It does not charge the anchor.
 func (s *Stream) rebuildLocked() {
 	s.pre.Reset()
-	s.pre.Push(0) // prefix-sum base point
 	if s.spi != nil {
 		s.spi.Reset()
 	}
-	s.prefixLast = 0
-	s.settled = s.total - int64(s.inWindowLocked())
-	s.pushLocked()
+	s.applyLocked()
 }
 
-// pushLocked feeds the unsettled samples settled..total−1, all still in the
-// rings, to pre (as running prefix sums, through a fixed stack buffer) and
-// spi (timestamps, straight from the ring) in ring-contiguous chunks.
-func (s *Stream) pushLocked() {
-	var buf [settleChunk]int64
-	w := int64(s.window)
-	p := s.prefixLast
-	for i := s.settled; i < s.total; {
-		slot := i % w
-		n := min(s.total-i, w-slot, settleChunk)
-		for j, d := range s.demands[slot : slot+n] {
-			p += d
-			buf[j] = p
-		}
-		s.pre.PushBatch(buf[:n])
-		if s.spi != nil {
-			s.spi.PushBatch(s.times[slot : slot+n])
-		}
-		i += n
+// applyLocked catches pre/spi up with the rings.
+func (s *Stream) applyLocked() {
+	s.pre.CatchUp(s.prefix, s.total+1)
+	if s.spi != nil {
+		s.spi.CatchUp(s.times, s.total)
 	}
-	s.prefixLast = p
 	s.settled = s.total
 }
 
@@ -587,12 +584,14 @@ func (s *Stream) workloadLocked() (core.Workload, error) {
 	if s.total == 0 {
 		return core.Workload{}, ErrNoSamples
 	}
-	upVals, loVals := s.pre.AppendCurves(nil, nil)
-	up, err := curve.NewFinite(upVals)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.up, sc.lo = s.pre.AppendCurves(sc.up[:0], sc.lo[:0])
+	up, err := curve.NewFinite(sc.up)
 	if err != nil {
 		return core.Workload{}, err
 	}
-	lo, err := curve.NewFinite(loVals)
+	lo, err := curve.NewFinite(sc.lo)
 	if err != nil {
 		return core.Workload{}, err
 	}
@@ -614,25 +613,18 @@ func (s *Stream) spansLocked() (arrival.Spans, arrival.MaxSpans, error) {
 	if s.total == 0 {
 		return nil, nil, ErrNoSamples
 	}
-	effK := s.effKLocked()
-	dmin := make([]int64, effK)
-	dmax := make([]int64, effK)
-	for k := 2; k <= effK; k++ {
-		lo, err := s.spi.LoAt(k - 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		up, err := s.spi.UpAt(k - 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		dmin[k-1], dmax[k-1] = lo, up
+	// d(k)/D(k) are spi's (k−1)-difference extrema: its curves, shifted.
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.up, sc.lo = append(sc.up[:0], 0), append(sc.lo[:0], 0)
+	if s.spi != nil {
+		sc.up, sc.lo = s.spi.AppendCurves(sc.up[:0], sc.lo[:0])
 	}
-	mins, err := arrival.FromValues(dmin)
+	mins, err := arrival.FromValues(sc.lo)
 	if err != nil {
 		return nil, nil, err
 	}
-	maxs, err := arrival.MaxSpansFromValues(dmax)
+	maxs, err := arrival.MaxSpansFromValues(sc.up)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -863,5 +855,5 @@ func (s *Stream) Reextract() (drift int64, err error) {
 func (s *Stream) DemandTrace() events.DemandTrace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return events.DemandTrace(s.orderedLocked(nil, s.demands))
+	return events.DemandTrace(s.demandsLocked(nil))
 }

@@ -24,12 +24,9 @@ func TestNewIncValidation(t *testing.T) {
 
 func TestIncSmallByHand(t *testing.T) {
 	// data = [5, 1, 4, 9], window 3, offsets up to 2.
-	x, err := NewInc(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := newRingInc(t, 2, 3)
 	for _, v := range []int64{5, 1, 4, 9} {
-		x.Push(v)
+		x.push(v)
 	}
 	// Retained: [1, 4, 9]. Offset 1 diffs: 3, 5 → up 5, lo 3.
 	// Offset 2 diffs: 9−1 = 8 → up = lo = 8.
@@ -303,55 +300,50 @@ func TestContractMonitor(t *testing.T) {
 	}
 }
 
-func TestRebase(t *testing.T) {
-	old := rebaseAt
-	rebaseAt = 1_000
-	defer func() { rebaseAt = old }()
-
-	s, err := New(Config{Window: 8, MaxK: 4, ReextractEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, d := make([]int64, 64), make([]int64, 64)
+// TestPrefixSumHorizon drives the running demand prefix sum past 2⁶² and
+// then past the int64 horizon, where it wraps. Every window difference
+// still fits in int64 and so stays exact, whether the stream is read after
+// every batch or never until the end, and whether it survives an
+// export/restore round trip.
+func TestPrefixSumHorizon(t *testing.T) {
+	const window, maxK, n = 8, 4, 64
+	ts, d := make([]int64, n), make([]int64, n)
 	for i := range ts {
 		ts[i] = int64(i) * 10
-		d[i] = int64(100 + i%7)
+		d[i] = 1<<59 + int64(i%7) // Σ d crosses 2⁶² after 8 samples, 2⁶³ after 16
 	}
-	// Short batches settled one by one keep the running prefix sum growing
-	// incrementally (a long backlog would rebuild at the window sum instead),
-	// so the anchor has to rebase it.
-	for i := 0; i < len(ts); i += 3 {
-		j := min(i+3, len(ts))
-		if _, err := s.Ingest(ts[i:j], d[i:j]); err != nil {
+	for _, readEvery := range []bool{true, false} {
+		cfg := Config{Window: window, MaxK: maxK, ReextractEvery: 4}
+		s, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Workload(); err != nil {
+		wrapped := false
+		for i := 0; i < n; i += 3 {
+			j := min(i+3, n)
+			if _, err := s.Ingest(ts[i:j], d[i:j]); err != nil {
+				t.Fatal(err)
+			}
+			wrapped = wrapped || s.prefix[s.total%(window+1)] < 0
+			if readEvery {
+				checkAgainstBatch(t, s, ts[:j], d[:j], window, maxK)
+			}
+		}
+		if !wrapped {
+			t.Fatal("the running prefix sum never wrapped")
+		}
+		checkAgainstBatch(t, s, ts, d, window, maxK)
+		if st := s.Stats(); st.Drift != 0 || st.Reextractions == 0 {
+			t.Fatalf("readEvery=%v: drift=%d after %d anchors", readEvery, st.Drift, st.Reextractions)
+		}
+		if got := s.DemandTrace(); !equal(got, d[n-window:]) {
+			t.Fatalf("readEvery=%v: window trace %v, want %v", readEvery, got, d[n-window:])
+		}
+		r, err := Restore(cfg, s.ExportState())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	s.mu.Lock()
-	pl := s.prefixLast
-	s.mu.Unlock()
-	if pl >= 2_000 {
-		t.Fatalf("prefix sum never rebased: %d", pl)
-	}
-	st := s.Stats()
-	if st.Drift != 0 {
-		t.Fatalf("rebase broke the anchor: drift=%d", st.Drift)
-	}
-	// Curves still match a fresh batch extraction of the window.
-	w, err := s.Workload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.FromTrace(events.DemandTrace(d[64-8:]), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k <= 4; k++ {
-		if w.Upper.MustAt(k) != want.Upper.MustAt(k) || w.Lower.MustAt(k) != want.Lower.MustAt(k) {
-			t.Fatalf("post-rebase mismatch at k=%d", k)
-		}
+		checkAgainstBatch(t, r, ts, d, window, maxK)
 	}
 }
 
