@@ -64,37 +64,41 @@ func incEqual(t *testing.T, got, want *Inc, ctx string) {
 	}
 }
 
-// TestCatchUpMatchesPerSample catches one tracker up over whole backlogs of
-// 1, 7, W−K, W−1, W and 3W data points (and random sizes between) and its
-// twin one data point at a time, and requires identical values and indices
-// after every backlog.
-func TestCatchUpMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260805))
-	check := func(window, maxOff int, data []int64, sizes func() int) {
-		t.Helper()
-		batch := newRingInc(t, maxOff, window)
-		seq := newRingInc(t, maxOff, window)
-		for i := 0; i < len(data); {
-			b := min(sizes(), len(data)-i)
-			batch.push(data[i : i+b]...)
-			for _, v := range data[i : i+b] {
-				seq.push(v)
-			}
-			i += b
-			incEqual(t, batch.Inc, seq.Inc, "mid-stream")
+// checkBatchMatchesSeq pushes data into one tracker in batches of sizes()
+// points, each caught up with a single CatchUp, and into its twin one data
+// point at a time, and requires identical values and indices after every
+// batch and identical curves at the end.
+func checkBatchMatchesSeq(t *testing.T, window, maxOff int, data []int64, sizes func() int) {
+	t.Helper()
+	batch := newRingInc(t, maxOff, window)
+	seq := newRingInc(t, maxOff, window)
+	for i := 0; i < len(data); {
+		b := min(sizes(), len(data)-i)
+		batch.push(data[i : i+b]...)
+		for _, v := range data[i : i+b] {
+			seq.push(v)
 		}
-		// AppendCurves must agree too (it reads every offset at once).
-		bu, bl := batch.AppendCurves(nil, nil)
-		su, sl := seq.AppendCurves(nil, nil)
-		if len(bu) != len(su) {
-			t.Fatalf("curve lengths %d vs %d", len(bu), len(su))
-		}
-		for k := range bu {
-			if bu[k] != su[k] || bl[k] != sl[k] {
-				t.Fatalf("AppendCurves k=%d: (%d,%d) vs (%d,%d)", k, bu[k], bl[k], su[k], sl[k])
-			}
+		i += b
+		incEqual(t, batch.Inc, seq.Inc, "mid-stream")
+	}
+	// AppendCurves must agree too (it reads every offset at once).
+	bu, bl := batch.AppendCurves(nil, nil)
+	su, sl := seq.AppendCurves(nil, nil)
+	if len(bu) != len(su) {
+		t.Fatalf("curve lengths %d vs %d", len(bu), len(su))
+	}
+	for k := range bu {
+		if bu[k] != su[k] || bl[k] != sl[k] {
+			t.Fatalf("AppendCurves k=%d: (%d,%d) vs (%d,%d)", k, bu[k], bl[k], su[k], sl[k])
 		}
 	}
+}
+
+// TestPushBatchMatchesPush pushes batches of 1, 7, W−K, W−1, W and 3W data
+// points (and random sizes between), each caught up with one CatchUp, and
+// requires the tracker to match its twin pushed one data point at a time.
+func TestPushBatchMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 60; trial++ {
 		window := 2 + rng.Intn(40)
 		maxOff := 1 + rng.Intn(window-1)
@@ -111,13 +115,18 @@ func TestCatchUpMatchesPerSample(t *testing.T) {
 			}
 		}
 		backlogs := []int{1, 7, window - maxOff, window - 1, window, 3 * window}
-		check(window, maxOff, data, func() int {
+		checkBatchMatchesSeq(t, window, maxOff, data, func() int {
 			if rng.Intn(4) == 0 {
 				return 1 + rng.Intn(2*window)
 			}
 			return backlogs[rng.Intn(len(backlogs))]
 		})
 	}
-	// The smallest degenerate shape, by hand: maxOff = window−1.
-	check(4, 3, []int64{5, 1, 4, 9, 2, 2, 7, 0, 3, 8}, func() int { return 10 })
+}
+
+// TestPushBatchSingleChunkCap exercises the degenerate maxOff = window−1
+// configuration, where every window is live for one data point only, with
+// the whole backlog caught up at once.
+func TestPushBatchSingleChunkCap(t *testing.T) {
+	checkBatchMatchesSeq(t, 4, 3, []int64{5, 1, 4, 9, 2, 2, 7, 0, 3, 8}, func() int { return 10 })
 }
