@@ -95,12 +95,41 @@ func TestSnapshotAllocs(t *testing.T) {
 }
 
 // TestStreamFootprint is the per-stream heap guard at the default window
-// and curve domain (W = 1024, K = 256). A fully ingested stream holds one
-// copy of the window — the timestamp and prefix-sum rings — until its first
-// read, and the trackers' extrema on top of it after. The bounds leave no
-// room for a second copy of the window or for a stream's own set of anchor
-// scratch (~19 KiB): those live in the shared free list.
+// and curve domain (W = 1024, K = 256). A stream holds one copy of what its
+// window holds — the timestamp and prefix-sum rings — until its first read,
+// and the trackers' extrema for the offsets that window covers after. A
+// full stream's bounds leave no room for a second copy of the window or for
+// a stream's own set of anchor scratch (~19 KiB): those live in the shared
+// free list. A one-sample stream's bounds leave no room for a full-window
+// ring or a full set of extrema: both grow with the samples.
 func TestStreamFootprint(t *testing.T) {
+	full := make([]int64, DefaultWindow)
+	for i := range full {
+		full[i] = int64(i*37%101) + 1
+	}
+	for _, tc := range []struct {
+		name           string
+		samples        int
+		unread, readAt float64 // bounds in bytes per stream
+	}{
+		{"full", DefaultWindow, 18 << 10, 34 << 10},
+		{"one-sample", 1, 1 << 10, 1.5 * (1 << 10)},
+	} {
+		unread, read := streamFootprint(t, full[:tc.samples])
+		t.Logf("%s: bytes per stream: %.0f before any read, %.0f after one Snapshot", tc.name, unread, read)
+		if unread > tc.unread {
+			t.Errorf("%s: an unread stream holds %.0f bytes, want ≤ %.0f", tc.name, unread, tc.unread)
+		}
+		if read > tc.readAt {
+			t.Errorf("%s: a read stream holds %.0f bytes, want ≤ %.0f", tc.name, read, tc.readAt)
+		}
+	}
+}
+
+// streamFootprint builds default-config streams that each ingested the
+// demands ds in one batch and returns the heap each holds before any read
+// and after one Snapshot.
+func streamFootprint(t *testing.T, ds []int64) (unread, read float64) {
 	const n = 256
 	heap := func() float64 {
 		runtime.GC()
@@ -108,11 +137,9 @@ func TestStreamFootprint(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return float64(m.HeapAlloc)
 	}
-	ts := make([]int64, DefaultWindow)
-	ds := make([]int64, DefaultWindow)
-	for i := range ts {
-		ts[i] = int64(i) * 10
-		ds[i] = int64(i*37%101) + 1
+	stamps := make([]int64, len(ds))
+	for i := range stamps {
+		stamps[i] = int64(i) * 10
 	}
 	base := heap()
 	streams := make([]*Stream, n)
@@ -121,26 +148,20 @@ func TestStreamFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Ingest(ts, ds); err != nil {
+		if _, err := s.Ingest(stamps, ds); err != nil {
 			t.Fatal(err)
 		}
 		streams[i] = s
 	}
-	unread := (heap() - base) / n
+	unread = (heap() - base) / n
 	for _, s := range streams {
 		if _, err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	read := (heap() - base) / n
+	read = (heap() - base) / n
 	runtime.KeepAlive(streams)
-	t.Logf("bytes per stream: %.0f before any read, %.0f after one Snapshot", unread, read)
-	if unread > 18<<10 {
-		t.Errorf("an unread stream holds %.0f bytes, want ≤ %d", unread, 18<<10)
-	}
-	if read > 34<<10 {
-		t.Errorf("a read stream holds %.0f bytes, want ≤ %d", read, 34<<10)
-	}
+	return unread, read
 }
 
 // TestConcurrentReadsShareScratch reads streams of different window sizes

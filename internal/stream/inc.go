@@ -29,7 +29,8 @@
 // (data crafted so an extremum expires every batch) degrades to O(maxOff·W)
 // per batch — the cost of one batch kernel run, which is the natural
 // ceiling anyway. The trackers read the stream's own rings, so the window
-// is stored once; the O(maxOff) extrema are allocated at the first read.
+// is stored once; the extrema are allocated at the first read and grow
+// with the offsets the window has data for, up to maxOff.
 //
 // Results are BIT-IDENTICAL to kernel.Extract over the current window
 // contents: both compute exact int64 differences of the same values. The
@@ -61,10 +62,11 @@ type Inc struct {
 	window int   // data points the caller's ring retains
 	total  int64 // data points caught up with
 
-	// Per-offset extrema over the live windows, k−1 indexed, allocated by
-	// the first CatchUp. The idx arrays hold the LATEST window start
-	// achieving the extremum (ties break to the freshest index, maximizing
-	// its lifetime); −1 marks an offset not scanned since the last Reset.
+	// Per-offset extrema over the live windows, k−1 indexed, grown by
+	// CatchUp to cover the offsets it has data for (see growExtrema). The
+	// idx arrays hold the LATEST window start achieving the extremum (ties
+	// break to the freshest index, maximizing its lifetime); −1 marks an
+	// offset not scanned since the last Reset or since it was added.
 	maxVal []int64
 	maxIdx []int64
 	minVal []int64
@@ -114,8 +116,10 @@ func (x *Inc) EffOff() int {
 
 // CatchUp advances the extrema from the data points already caught up with
 // to the first `total` ones. ring holds the newest min(total, window) of
-// them, data point i at ring[i % window] (len(ring) == window), so every
-// difference a live window needs is there however long the backlog is.
+// them, data point i at ring[i % window], so every difference a live
+// window needs is there however long the backlog is. len(ring) is window,
+// or, before the window first fills, at least total: no index has wrapped
+// yet, so i % window is i either way.
 //
 // Each offset makes ONE linear scan over its new windows, keeping its
 // state (4 int64) in registers while the backlog streams through it. If a
@@ -124,15 +128,10 @@ func (x *Inc) EffOff() int {
 // the state is the (value, latest index) of each extremum over the live
 // windows, so it does not depend on how the backlog was split.
 func (x *Inc) CatchUp(ring []int64, total int64) {
-	if x.maxVal == nil {
-		m := x.maxOff
-		buf := make([]int64, 4*m)
-		x.maxVal, x.maxIdx, x.minVal, x.minIdx = buf[:m:m], buf[m:2*m:2*m], buf[2*m:3*m:3*m], buf[3*m:]
-		x.Reset() // every offset unscanned
-	}
 	start := x.total
 	x.total = total
 	kEff := min(total-1, int64(x.maxOff))
+	x.growExtrema(int(kEff))
 	w := int64(x.window)
 	low := max(total-w, 0) // oldest live window start
 	for k := int64(1); k <= kEff; k++ {
@@ -153,6 +152,32 @@ func (x *Inc) CatchUp(ring []int64, total int64) {
 		x.maxVal[k-1], x.maxIdx[k-1] = mx, mxj
 		x.minVal[k-1], x.minIdx[k-1] = mn, mnj
 	}
+}
+
+// minGrow is the smallest buffer growth allocates: a stream's rings hold at
+// least this many samples, a tracker's extrema this many offsets.
+const minGrow = 8
+
+// growExtrema makes the extrema cover offsets 1..n: short of maxOff it
+// doubles them (at least to n, at most to maxOff), keeping the recorded
+// offsets and adding unscanned ones, which CatchUp rescans as just
+// activated.
+func (x *Inc) growExtrema(n int) {
+	c := len(x.maxVal)
+	if c >= n {
+		return
+	}
+	m := min(max(n, 2*c, minGrow), x.maxOff)
+	buf := make([]int64, 4*m)
+	maxVal, maxIdx, minVal, minIdx := buf[:m:m], buf[m:2*m:2*m], buf[2*m:3*m:3*m], buf[3*m:]
+	copy(maxVal, x.maxVal)
+	copy(maxIdx, x.maxIdx)
+	copy(minVal, x.minVal)
+	copy(minIdx, x.minIdx)
+	for i := c; i < m; i++ {
+		maxIdx[i], minIdx[i] = -1, -1
+	}
+	x.maxVal, x.maxIdx, x.minVal, x.minIdx = maxVal, maxIdx, minVal, minIdx
 }
 
 // scanRange advances the running extrema (mx@mxj, mn@mnj) over the

@@ -184,6 +184,18 @@ func (x *refInc) pushChunk(vs []int64) {
 	}
 }
 
+// offsetState returns offset k+1's recorded (max, index, min, index). Inc
+// grows its arrays with the offsets its data covers, so an offset past
+// their end reads as unscanned, value and index — both values 0, both
+// indices −1 — which is what a freshly added offset and the reference's
+// untouched ones hold.
+func offsetState(maxVal, maxIdx, minVal, minIdx []int64, k int) [4]int64 {
+	if k >= len(maxVal) {
+		return [4]int64{0, -1, 0, -1}
+	}
+	return [4]int64{maxVal[k], maxIdx[k], minVal[k], minIdx[k]}
+}
+
 // TestIncDifferentialVsReference evolves Inc and the oracle through the same
 // randomized batch schedule and demands full state equality after every
 // batch — values AND indices, so rescan timing matches forever after.
@@ -218,12 +230,11 @@ func TestIncDifferentialVsReference(t *testing.T) {
 				inc.push(vs...)
 				ref.push(vs)
 				for k := 0; k < cfg.maxOff; k++ {
-					if inc.maxVal[k] != ref.maxVal[k] || inc.maxIdx[k] != ref.maxIdx[k] ||
-						inc.minVal[k] != ref.minVal[k] || inc.minIdx[k] != ref.minIdx[k] {
+					got := offsetState(inc.maxVal, inc.maxIdx, inc.minVal, inc.minIdx, k)
+					want := offsetState(ref.maxVal, ref.maxIdx, ref.minVal, ref.minIdx, k)
+					if got != want {
 						t.Fatalf("shape %d cfg %+v batch %d k=%d: inc (mx=%d@%d mn=%d@%d) != ref (mx=%d@%d mn=%d@%d)",
-							si, cfg, batch, k+1,
-							inc.maxVal[k], inc.maxIdx[k], inc.minVal[k], inc.minIdx[k],
-							ref.maxVal[k], ref.maxIdx[k], ref.minVal[k], ref.minIdx[k])
+							si, cfg, batch, k+1, got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
 					}
 				}
 			}

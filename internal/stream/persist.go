@@ -103,8 +103,9 @@ func Restore(cfg Config, st State) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.growLocked(st.Total)
 	start := st.Total - int64(len(st.Demands))
-	var p int64 // the base point prefix[start] is New's 0
+	var p int64 // the base point prefix[start] is the fresh ring's 0
 	for i, d := range st.Demands {
 		at := start + int64(i)
 		s.times[at%int64(len(s.times))] = st.Times[i]

@@ -143,7 +143,9 @@ type Stream struct {
 	// The window, stored once: times[i % window] is the timestamp of
 	// sample i, and prefix[i % (window+1)] the sum of the first i demands
 	// (wrapping in int64; differences stay exact). Demand i is
-	// prefix[i+1] − prefix[i].
+	// prefix[i+1] − prefix[i]. Until the window first fills, the rings hold
+	// only the samples ingested so far (see growLocked): no index has
+	// wrapped yet, so i % len is i and every reader indexes them alike.
 	times  []int64
 	prefix []int64
 	total  int64 // samples ever ingested
@@ -177,8 +179,6 @@ func New(cfg Config) (*Stream, error) {
 		window: cfg.Window,
 		maxK:   cfg.MaxK,
 		reint:  cfg.ReextractEvery,
-		times:  make([]int64, cfg.Window),
-		prefix: make([]int64, cfg.Window+1), // window+1 sums cover window samples
 	}
 	pre, err := NewInc(cfg.MaxK, cfg.Window+1)
 	if err != nil {
@@ -280,6 +280,7 @@ func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	defer s.bumpLocked()
 
 	res := IngestResult{Accepted: len(ts)}
+	s.growLocked(s.total + int64(len(ts)))
 	// Only the newest window timestamps of the batch survive in the ring.
 	skip := max(len(ts)-s.window, 0)
 	slot := int((s.total + int64(skip)) % int64(s.window))
@@ -322,6 +323,22 @@ func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	res.Violations = s.violations
 	res.Drift = s.drift
 	return res, nil
+}
+
+// growLocked makes the rings hold the first n samples: short of a full
+// window it doubles them (at least to n, at most to window and window+1
+// slots), copying the samples in order — none has wrapped yet. A stream
+// thus costs what its window holds; once full, ingest wraps in place.
+func (s *Stream) growLocked(n int64) {
+	c := len(s.times)
+	if c == s.window || int64(c) >= n {
+		return
+	}
+	c = int(min(max(n, int64(2*c), minGrow), int64(s.window)))
+	times, prefix := make([]int64, c), make([]int64, c+1) // c+1 sums cover c samples
+	copy(times, s.times)
+	copy(prefix, s.prefix)
+	s.times, s.prefix = times, prefix
 }
 
 // Batch is one ingest request's samples, as replayed from the WAL.

@@ -350,27 +350,14 @@ func (l *ShardLog) AppendIngestGroup(recs []IngestRec) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("wal: shard log closed")
-	}
-	if l.off >= l.mgr.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
+	if err := l.readyLocked(); err != nil {
+		return err
 	}
 	l.buf = l.buf[:0]
 	for i := range recs {
 		l.buf = appendRecord(l.buf, recIngest, recs[i].ID, recs[i].Version, recs[i].Ts, recs[i].Ds)
 	}
-	n, err := l.f.Write(l.buf)
-	l.off += int64(n)
-	l.mgr.bytes.Add(uint64(n))
-	l.mgr.appends.Add(uint64(len(recs)))
-	if err != nil {
-		return err
-	}
-	l.dirty = true
-	return nil
+	return l.writeLocked(len(recs))
 }
 
 // AppendTombstone logs a DELETE. Same contract as AppendIngestGroup.
@@ -380,23 +367,41 @@ func (l *ShardLog) AppendTombstone(id string) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(recTombstone, id, 0, nil, nil)
+	if err := l.readyLocked(); err != nil {
+		return err
+	}
+	l.buf = appendRecord(l.buf[:0], recTombstone, id, 0, nil, nil)
+	return l.writeLocked(1)
 }
 
-func (l *ShardLog) appendLocked(kind byte, id string, version int64, ts, ds []int64) error {
+// readyLocked checks the log is open and rotates a full segment, so the
+// next write lands in a segment with room.
+func (l *ShardLog) readyLocked() error {
 	if l.f == nil {
 		return errors.New("wal: shard log closed")
 	}
 	if l.off >= l.mgr.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
+		return l.rotateLocked()
 	}
-	l.buf = appendRecord(l.buf[:0], kind, id, version, ts, ds)
+	return nil
+}
+
+// maxKeptBuf is the largest encode buffer a shard log keeps between
+// appends. A bigger one — a single 1 MiB binary ingest encodes ~1 MiB —
+// is dropped after its write rather than pinned for the life of the
+// process in every shard that ever saw such a batch.
+const maxKeptBuf = 16 << 10
+
+// writeLocked writes the encoded buffer holding `records` records in one
+// syscall and marks the log dirty for the next Commit.
+func (l *ShardLog) writeLocked(records int) error {
 	n, err := l.f.Write(l.buf)
+	if cap(l.buf) > maxKeptBuf {
+		l.buf = nil
+	}
 	l.off += int64(n)
 	l.mgr.bytes.Add(uint64(n))
-	l.mgr.appends.Add(1)
+	l.mgr.appends.Add(uint64(records))
 	if err != nil {
 		return err
 	}

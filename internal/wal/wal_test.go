@@ -638,3 +638,48 @@ func TestAppendIngestGroup(t *testing.T) {
 		t.Error("rejected group still wrote bytes")
 	}
 }
+
+// TestAppendBufferFootprint checks that a shard log does not pin the encode
+// buffer of its largest append: after a 64k-sample batch — about what a
+// 1 MiB binary ingest body carries — the buffer it keeps is at most
+// maxKeptBuf, small appends still reuse theirs, and the big record replays.
+func TestAppendBufferFootprint(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir)
+	m := mustOpen(t, opts)
+	l := m.Shard(0)
+	const n = 1 << 16
+	ts, ds := make([]int64, n), make([]int64, n)
+	for i := range ts {
+		ts[i], ds[i] = int64(i), int64(i%97)
+	}
+	ing(t, l, "small", 1, []int64{1}, []int64{2})
+	if cap(l.buf) == 0 {
+		t.Fatal("a small append dropped its encode buffer")
+	}
+	ing(t, l, "big", 1, ts, ds)
+	if cap(l.buf) > maxKeptBuf {
+		t.Fatalf("after a %d-sample append the shard log keeps a %d-byte buffer, want ≤ %d", n, cap(l.buf), maxKeptBuf)
+	}
+	if err := l.AppendTombstone("small"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := mustOpen(t, opts)
+	defer m2.Close()
+	rec := m2.Recovery(0)
+	if len(rec) != 1 || rec[0].ID != "big" || len(rec[0].Batches) != 1 {
+		t.Fatalf("recovery: %d streams, want the one big batch", len(rec))
+	}
+	b := rec[0].Batches[0]
+	if b.Version != 1 || !reflect.DeepEqual(b.Ts, ts) || !reflect.DeepEqual(b.Demands, ds) {
+		t.Fatalf("big batch replayed as version %d with %d samples, want version 1 with %d equal samples",
+			b.Version, len(b.Ts), n)
+	}
+}
