@@ -3,8 +3,9 @@
 // the trace (no per-span allocation, no locks on the hot path); at request
 // end the tracer applies tail-based retention — anomalous traces (slow,
 // errored, shed, degraded, panicked) are always kept, ordinary traces are
-// counter-sampled 1-in-N — and kept traces land in a sharded lock-free
-// ring store bounded by a hard byte cap (oldest evicted).
+// counter-sampled 1-in-N — and a kept trace, compacted to the spans it
+// recorded, lands in a sharded lock-free ring store whose slot count a
+// hard byte cap fixes (oldest evicted).
 //
 // The package deliberately does not import the rest of internal/obs (obs
 // embeds a *trace.Active in its per-request scope, so the dependency runs
@@ -93,11 +94,11 @@ type Span struct {
 }
 
 // Active is a trace being recorded (and, once kept, the stored immutable
-// result). The span slab is fixed at construction; concurrent goroutines
+// result). The span slab is fixed while recording; concurrent goroutines
 // claim slots with a CAS on n, then write their slot exclusively, so
 // recording is lock-free and the handler/worker pair never contend.
 type Active struct {
-	spans   []Span // len == cap == maxSpans, slots [0,n) in use
+	spans   []Span // while recording len == cap == maxSpans, slots [0,n) in use; once kept, the n spans only
 	n       atomic.Int32
 	dropped atomic.Int32 // spans refused because the slab was full
 	marks   atomic.Uint32
@@ -259,7 +260,8 @@ func (t *Active) Traceparent() string {
 	return FormatTraceparent(t.hi, t.lo, t.spanID)
 }
 
-// size estimates the trace's retained footprint: the fixed slab plus the
+// size estimates a kept trace's retained footprint: the header, its
+// compacted span slice (the recorded spans only, see compact) and the
 // strings it references. Span names and attr keys are static literals
 // shared across traces, so only per-request strings are charged.
 func (t *Active) size() int64 {
@@ -296,7 +298,9 @@ type Config struct {
 	// SampleN keeps 1 in SampleN ordinary traces (anomalous traces are
 	// always kept). 1 keeps everything.
 	SampleN int
-	// StoreBytes is the hard cap on retained trace memory.
+	// StoreBytes is the hard cap on retained trace memory. It fixes the
+	// store's slot count at one full-slab trace per slot; kept traces
+	// hold only their recorded spans, so a full store holds far less.
 	StoreBytes int64
 	// MaxSpans bounds each trace's span slab.
 	MaxSpans int
@@ -417,10 +421,25 @@ func (tr *Tracer) Finish(t *Active, status int, d time.Duration, slow bool) bool
 		}
 	}
 	t.keep = keep
+	tr.compact(t)
 	t.szBytes = t.size()
 	tr.kept.Add(1)
 	tr.store.insert(t)
 	return true
+}
+
+// compact trims a kept trace to the spans it recorded: t gets an
+// exact-size copy of spans[:n], and its slab, cleared, goes back to the
+// pool under a fresh Active. The store then pins no unused span, and the
+// next request reuses the slab instead of allocating one. No reader has
+// seen t yet, so the swap needs no synchronization.
+func (tr *Tracer) compact(t *Active) {
+	slab := t.spans
+	n := t.n.Load()
+	t.spans = make([]Span, n)
+	copy(t.spans, slab[:n])
+	clear(slab[:n])
+	tr.pool.Put(&Active{spans: slab})
 }
 
 // Counters and store accounting for the wcmd_trace_* metric family.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -310,5 +312,116 @@ func TestConcurrentRecordAndFinish(t *testing.T) {
 	wg.Wait()
 	if tr.Kept() != 1600 {
 		t.Errorf("Kept = %d, want 1600", tr.Kept())
+	}
+}
+
+// recordSix records a request with six spans (the root plus five), two of
+// them carrying attributes, and returns it unfinished.
+func recordSix(tr *Tracer, reqID string) *Active {
+	a := tr.StartRequest("ingest", reqID, "", time.Now())
+	now := time.Now()
+	up := a.StartAt("update", a.Root(), now)
+	a.RecordAt("decode", a.Root(), now, now).Int("samples", 64)
+	a.RecordAt("apply", up, now, now).Int("version", 7).Str("stream", "cam")
+	a.RecordAt("wal_append", up, now, now)
+	up.EndAt(now)
+	a.RecordAt("render", a.Root(), now, now)
+	return a
+}
+
+// TestKeptTraceFootprint bounds the heap a full store retains per kept
+// trace: a kept trace holds only the spans it recorded, not the 48-slot
+// slab it recorded them into (~12.4 KiB per trace before compaction).
+func TestKeptTraceFootprint(t *testing.T) {
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC() // a second cycle empties the pools' victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	base := heap()
+	tr := New(Config{SampleN: 1})
+	slots := 0
+	for i := range tr.store.shards {
+		slots += len(tr.store.shards[i].slots)
+	}
+	for i := 0; i < 4*slots; i++ {
+		a := recordSix(tr, "footprint")
+		tr.Finish(a, 500, time.Millisecond, false)
+	}
+	kept := len(tr.Traces())
+	if kept == 0 || tr.Evicted() == 0 {
+		t.Fatalf("store holds %d traces and evicted %d: not full", kept, tr.Evicted())
+	}
+	per := (heap() - base) / float64(kept)
+	runtime.KeepAlive(tr)
+	t.Logf("heap per kept 6-span trace: %.0f bytes (%d traces in %d slots)", per, kept, slots)
+	// ~1.8 KiB measured (Go 1.24, amd64): the header plus six spans.
+	if per > 3<<10 {
+		t.Errorf("a kept 6-span trace retains %.0f bytes of heap, want ≤ %d", per, 3<<10)
+	}
+	if got, est := tr.StoreBytes(), int64(kept)*(3<<10); got <= 0 || got > est {
+		t.Errorf("StoreBytes = %d, want within (0, %d]", got, est)
+	}
+}
+
+// TestKeepPathAllocs bounds what keeping a trace allocates in steady
+// state: the compact span copy and a fresh header for the recycled slab,
+// never a new 48-slot slab.
+func TestKeepPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's sync.Pool drops Puts at random; runs without -race")
+	}
+	tr := New(Config{SampleN: 1})
+	cycle := func() {
+		tr.Finish(recordSix(tr, "allocs"), 500, time.Millisecond, false)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs > 2 {
+		t.Errorf("keep path: %.1f allocs per trace, want ≤ 2", allocs)
+	}
+	const runs = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("keep path: %.0f bytes allocated per trace", per)
+	if per > 2560 {
+		t.Errorf("keep path allocates %.0f bytes per trace, want ≤ 2560", per)
+	}
+}
+
+// TestCompactionPreservesTrace pins that compaction changes nothing a
+// reader sees: the stored trace's spans, span count and dropped-span
+// count equal the slab's before Finish, truncated slab included.
+func TestCompactionPreservesTrace(t *testing.T) {
+	for _, maxSpans := range []int{4, DefaultMaxSpans} {
+		tr := New(Config{SampleN: 1, MaxSpans: maxSpans})
+		a := recordSix(tr, fmt.Sprintf("same-%d", maxSpans))
+		want := append([]Span(nil), a.Spans()...)
+		wantN, wantDropped := a.SpanCount(), a.DroppedSpans()
+		tr.Finish(a, 503, 3*time.Millisecond, false)
+		want[0].DurNs = (3 * time.Millisecond).Nanoseconds() // Finish closes the root
+
+		got := tr.Lookup(fmt.Sprintf("same-%d", maxSpans))
+		if got == nil {
+			t.Fatalf("maxSpans %d: trace not stored", maxSpans)
+		}
+		if got.SpanCount() != wantN || got.DroppedSpans() != wantDropped {
+			t.Errorf("maxSpans %d: SpanCount/DroppedSpans = %d/%d, want %d/%d",
+				maxSpans, got.SpanCount(), got.DroppedSpans(), wantN, wantDropped)
+		}
+		if !reflect.DeepEqual(got.Spans(), want) {
+			t.Errorf("maxSpans %d: spans changed by compaction:\n got %+v\nwant %+v", maxSpans, got.Spans(), want)
+		}
+		if cap(got.spans) != wantN {
+			t.Errorf("maxSpans %d: kept trace holds %d span slots for %d spans", maxSpans, cap(got.spans), wantN)
+		}
 	}
 }

@@ -161,40 +161,6 @@ func (c *paramCache[K]) put(version int64, tenant string, k K, r *cachedResp) (r
 	}
 }
 
-// cachedSnap pins the stream.Snapshot taken at one version so every
-// parameterized miss at that version (a /check with a new key, a /minfreq
-// with a new b) reuses it instead of taking the stream lock again.
-// Snapshot contents are built fresh per capture and never mutated
-// afterwards, so sharing is safe.
-type cachedSnap struct {
-	version int64
-	snap    stream.Snapshot
-}
-
-type snapSlot struct {
-	p atomic.Pointer[cachedSnap]
-}
-
-func (s *snapSlot) get(version int64) (stream.Snapshot, bool) {
-	if cs := s.p.Load(); cs != nil && cs.version == version {
-		return cs.snap, true
-	}
-	return stream.Snapshot{}, false
-}
-
-func (s *snapSlot) put(version int64, snap stream.Snapshot) {
-	next := &cachedSnap{version: version, snap: snap}
-	for {
-		old := s.p.Load()
-		if old != nil && old.version >= version {
-			return
-		}
-		if s.p.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // ---- singleflight ----------------------------------------------------------
 
 // Endpoint ordinals for flight keys.
@@ -291,8 +257,6 @@ func (g *flightGroup) do(ctx context.Context, key flightKey, render func() (*cac
 // and unlike the previous design a miss never clones cache state: each
 // endpoint/format pair owns an independent slot.
 type queryCache struct {
-	snap snapSlot
-
 	curves    respSlot // GET /curves, JSON
 	curvesBin respSlot // GET /curves, binary
 	verdict   respSlot // GET /verdict (JSON only)

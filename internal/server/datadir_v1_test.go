@@ -196,6 +196,11 @@ func recoverFixture(t *testing.T) []fixtureAnswer {
 	if got := srv.wal.TornTails(); got != 1 {
 		t.Errorf("torn tails = %d, want 1", got)
 	}
+	for i := 0; i < cfg.Shards; i++ {
+		if rec := srv.wal.Recovery(i); rec != nil {
+			t.Errorf("shard %d: the WAL still holds %d replayed streams' recovery scan", i, len(rec))
+		}
+	}
 	answers := datadirV1Queries()
 	for i := range answers {
 		a := &answers[i]

@@ -897,21 +897,6 @@ func freshSnapshot(ctx context.Context, e *entry) (snap stream.Snapshot, err err
 	return snap, err
 }
 
-// snapshotFor returns a stream.Snapshot for e, reusing the cached one when
-// the stream version is unchanged so parameterized query misses (/check with
-// a new key at an old version) skip the stream lock too.
-func snapshotFor(ctx context.Context, e *entry) (stream.Snapshot, error) {
-	if snap, ok := e.cache.snap.get(e.st.Version()); ok {
-		return snap, nil
-	}
-	snap, err := freshSnapshot(ctx, e)
-	if err != nil {
-		return stream.Snapshot{}, err
-	}
-	e.cache.snap.put(snap.Version, snap)
-	return snap, nil
-}
-
 // statsFor mirrors freshSnapshot for the /verdict stats read.
 func statsFor(ctx context.Context, e *entry) (stream.Stats, error) {
 	if dl, ok := ctx.Deadline(); ok {
@@ -980,7 +965,7 @@ func (s *Server) resolveCurves(ctx context.Context, e *entry, binary bool) (resp
 			if resp := slot.get(v); resp != nil {
 				return resp, nil // a previous leader published while we queued
 			}
-			snap, err := snapshotFor(ctx, e)
+			snap, err := freshSnapshot(ctx, e)
 			if err != nil {
 				return nil, err
 			}
@@ -1031,7 +1016,7 @@ func (s *Server) resolveCheck(ctx context.Context, e *entry, req checkRequest, b
 			if resp := pc.get(v, tenant, key); resp != nil {
 				return resp, nil
 			}
-			snap, err := snapshotFor(ctx, e)
+			snap, err := freshSnapshot(ctx, e)
 			if err != nil {
 				return nil, err
 			}
@@ -1100,7 +1085,7 @@ func (s *Server) resolveMinFreq(ctx context.Context, e *entry, b int, binary boo
 			if resp := pc.get(v, tenant, b); resp != nil {
 				return resp, nil
 			}
-			snap, err := snapshotFor(ctx, e)
+			snap, err := freshSnapshot(ctx, e)
 			if err != nil {
 				return nil, err
 			}

@@ -762,3 +762,46 @@ func TestTraceResolveSettleAttrs(t *testing.T) {
 		t.Fatalf("cache hit: resolve attrs %+v", a)
 	}
 }
+
+// TestTraceDetailMatchesSlab pins that compacting a kept trace changes
+// nothing /debug/traces/{id} renders: the span tree and dropped-span
+// count equal those of the slab the request recorded into, read before
+// Finish.
+func TestTraceDetailMatchesSlab(t *testing.T) {
+	s, err := New(Config{TraceSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := s.tracer
+	start := time.Now()
+	a := tr.StartRequest("ingest", "slab-1", "", start)
+	up := a.StartAt("update", a.Root(), start.Add(time.Microsecond))
+	a.RecordAt("decode", a.Root(), start, start.Add(time.Microsecond)).Int("samples", 3)
+	a.RecordAt("apply", up, start.Add(2*time.Microsecond), start.Add(5*time.Microsecond)).
+		Int("version", 9).Str("stream", "cam")
+	up.EndAt(start.Add(6 * time.Microsecond))
+	slab := append([]trace.Span(nil), a.Spans()...)
+	dropped := a.DroppedSpans()
+	tr.Finish(a, http.StatusInternalServerError, 7*time.Microsecond, false)
+	slab[0].DurNs = (7 * time.Microsecond).Nanoseconds() // Finish closes the root
+
+	code, body := serve(s.Handler(), "GET", "/debug/traces/slab-1", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/slab-1: %d %s", code, body)
+	}
+	var got struct {
+		DroppedSpans int             `json:"dropped_spans"`
+		Root         json.RawMessage `json:"root"`
+	}
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(spanTree(slab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Root, want) || got.DroppedSpans != dropped {
+		t.Errorf("stored trace renders\n%s (dropped %d)\nthe slab renders\n%s (dropped %d)",
+			got.Root, got.DroppedSpans, want, dropped)
+	}
+}

@@ -133,8 +133,8 @@ type walMeta struct {
 const metaFormat = 1
 
 // Manager owns one data directory: the shard logs, the recovery results of
-// the Open-time scan, and the cumulative counters the serving layer
-// exports.
+// the Open-time scan until Recovery hands them off, and the cumulative
+// counters the serving layer exports.
 type Manager struct {
 	opts       Options
 	shards     []*ShardLog
@@ -266,11 +266,17 @@ func (m *Manager) Shard(i int) *ShardLog { return m.shards[i] }
 // Policy returns the fsync policy.
 func (m *Manager) Policy() Policy { return m.opts.Policy }
 
-// Recovery returns shard i's recovered streams, sorted by id: the decoded
-// snapshot state (nil when the stream has none) plus the surviving WAL
-// batches in replay order. The slice is the Open-time scan result; the
-// caller replays it once at boot.
-func (m *Manager) Recovery(i int) []StreamRecovery { return m.recovery[i] }
+// Recovery hands off shard i's recovered streams, sorted by id: the
+// decoded snapshot state (nil when the stream has none) plus the surviving
+// WAL batches in replay order. The slice is the Open-time scan result,
+// replayed once at boot; the Manager drops its reference as it hands it
+// over, so the decoded columns live only as long as the caller's replay
+// and a second call returns nil.
+func (m *Manager) Recovery(i int) []StreamRecovery {
+	rec := m.recovery[i]
+	m.recovery[i] = nil
+	return rec
+}
 
 // BytesAppended, Appends, Fsyncs and TornTails are the cumulative counters
 // behind wcmd_wal_*_total.

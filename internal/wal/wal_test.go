@@ -90,6 +90,9 @@ func TestAppendRecoverCycle(t *testing.T) {
 	if got := m2.Recovery(1); len(got) != 0 {
 		t.Errorf("shard 1 recovered %+v, want nothing", got)
 	}
+	if again := m2.Recovery(0); again != nil {
+		t.Errorf("Recovery(0) after the hand-off = %+v, want nil: the Manager still pins the scan", again)
+	}
 }
 
 func TestPolicyNoneSurvivesCleanClose(t *testing.T) {
