@@ -146,15 +146,26 @@ func measure(name string, minTime time.Duration, fn func()) Measurement {
 
 // overheadRounds is how many alternating rounds measureInterleaved splits
 // its time budget into; odd, so the median ratio is one round's figure.
-const overheadRounds = 9
+// A host steal burst skews whole rounds (per-round ratios of the traced
+// ingest spread 0.8–2.0 on a shared 2-vCPU host whether rounds last 3 ms
+// or 200 ms), so the median's spread shrinks with the round count, not
+// the round length.
+const overheadRounds = 25
 
-// measureInterleaved times fns in alternating rounds of minTime/rounds each
-// (forward order on even rounds, reversed on odd ones), so host drift —
-// steal, frequency, GC debt — lands on every fn alike. It returns one
-// Measurement per fn aggregated over all rounds and, per fn, the median
-// over rounds of its ns/op divided by fns[0]'s in the same round: an
-// overhead ratio that one-shot measurements of a ~10µs op cannot resolve.
+// minOverheadRound is the shortest round measureInterleaved times,
+// however small -mintime is, so every round holds enough ops of a ~10µs
+// path to average over a GC cycle.
+const minOverheadRound = 20 * time.Millisecond
+
+// measureInterleaved times fns in alternating rounds of minTime/rounds
+// each, but at least minOverheadRound (forward order on even rounds,
+// reversed on odd ones), so host drift — steal, frequency, GC debt — lands
+// on every fn alike. It returns one Measurement per fn aggregated over all
+// rounds and, per fn, the median over rounds of its ns/op divided by
+// fns[0]'s in the same round: an overhead ratio that one-shot measurements
+// of a ~10µs op cannot resolve.
 func measureInterleaved(minTime time.Duration, rounds int, names []string, fns ...func()) ([]Measurement, []float64) {
+	per := max(minTime/time.Duration(rounds), minOverheadRound)
 	out := make([]Measurement, len(fns))
 	ratios := make([][]float64, len(fns))
 	round := make([]Measurement, len(fns))
@@ -164,7 +175,7 @@ func measureInterleaved(minTime time.Duration, rounds int, names []string, fns .
 			if r%2 == 1 {
 				i = len(fns) - 1 - j
 			}
-			round[i] = measure(names[i], minTime/time.Duration(rounds), fns[i])
+			round[i] = measure(names[i], per, fns[i])
 		}
 		for i, m := range round {
 			ratios[i] = append(ratios[i], m.NsPerOp/round[0].NsPerOp)

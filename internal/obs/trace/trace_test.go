@@ -342,10 +342,7 @@ func TestKeptTraceFootprint(t *testing.T) {
 	}
 	base := heap()
 	tr := New(Config{SampleN: 1})
-	slots := 0
-	for i := range tr.store.shards {
-		slots += len(tr.store.shards[i].slots)
-	}
+	slots := len(tr.store.slots)
 	for i := 0; i < 4*slots; i++ {
 		a := recordSix(tr, "footprint")
 		tr.Finish(a, 500, time.Millisecond, false)
@@ -353,6 +350,9 @@ func TestKeptTraceFootprint(t *testing.T) {
 	kept := len(tr.Traces())
 	if kept == 0 || tr.Evicted() == 0 {
 		t.Fatalf("store holds %d traces and evicted %d: not full", kept, tr.Evicted())
+	}
+	if kept != slots {
+		t.Errorf("a full store holds %d traces in %d slots, want every slot used", kept, slots)
 	}
 	per := (heap() - base) / float64(kept)
 	runtime.KeepAlive(tr)

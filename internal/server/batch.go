@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"sort"
@@ -50,12 +51,17 @@ type batchQueryRequest struct {
 	MinFreqB *int          `json:"minfreq_b"`
 }
 
-// batchAnswer holds one stream's resolved sub-objects (spliced JSON object
-// bytes, no trailing newline). missing marks an unknown id.
+// batchAnswer holds one stream's resolved sub-objects, indexed by endpoint
+// (spliced JSON object bytes, no trailing newline). missing marks an unknown
+// id.
 type batchAnswer struct {
-	missing                         bool
-	curves, check, minfreq, verdict []byte
+	missing bool
+	subs    [numEndpoints][]byte
 }
+
+// batchFields are the response field names of the sub-objects, indexed by
+// endpoint.
+var batchFields = [numEndpoints]string{`,"curves":`, `,"check":`, `,"minfreq":`, `,"verdict":`}
 
 func trimNL(b []byte) []byte {
 	if n := len(b); n > 0 && b[n-1] == '\n' {
@@ -64,10 +70,11 @@ func trimNL(b []byte) []byte {
 	return b
 }
 
-// batchSub folds one sub-query resolution into splice-ready bytes, applying
-// the same hit/miss accounting and degraded fallback as the single-stream
+// batchSub resolves one sub-query into splice-ready bytes, applying the
+// same hit/miss accounting and degraded fallback as the single-stream
 // handlers.
-func (s *Server) batchSub(resp *cachedResp, hit bool, err error, last *cachedResp) []byte {
+func (s *Server) batchSub(ctx context.Context, e *entry, q readQuery, tenant string) []byte {
+	resp, hit, err := s.resolve(ctx, e, q, tenant)
 	if err == nil {
 		if hit {
 			s.metrics.cacheHits.Add(1)
@@ -77,8 +84,8 @@ func (s *Server) batchSub(resp *cachedResp, hit bool, err error, last *cachedRes
 		return trimNL(resp.body)
 	}
 	s.metrics.cacheMisses.Add(1)
-	if errors.Is(err, stream.ErrBusy) && last != nil {
-		if body := degradedBody(last); body != nil {
+	if errors.Is(err, stream.ErrBusy) {
+		if body := degradedBody(e.cache.last(q, tenant)); body != nil {
 			s.metrics.degraded.Add(1)
 			return trimNL(body)
 		}
@@ -139,6 +146,20 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return shards[order[a]] < shards[order[b]] })
 
+	// The sub-queries asked for, in response field order.
+	qs := make([]readQuery, 0, numEndpoints)
+	if req.Curves {
+		qs = append(qs, readQuery{ep: epCurves})
+	}
+	if req.Check != nil {
+		qs = append(qs, readQuery{ep: epCheck, check: *req.Check})
+	}
+	if req.MinFreqB != nil {
+		qs = append(qs, readQuery{ep: epMinFreq, b: *req.MinFreqB})
+	}
+	if req.Verdict {
+		qs = append(qs, readQuery{ep: epVerdict})
+	}
 	ctx := r.Context()
 	tenant := s.tenantFor(r).name
 	answers := make([]batchAnswer, len(req.IDs))
@@ -151,23 +172,8 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			answers[i].missing = true
 			continue
 		}
-		a := &answers[i]
-		if req.Curves {
-			resp, hit, err := s.resolveCurves(ctx, e, false)
-			a.curves = s.batchSub(resp, hit, err, e.cache.curves.last())
-		}
-		if req.Check != nil {
-			resp, hit, err := s.resolveCheck(ctx, e, *req.Check, false, tenant)
-			key := checkKey{freqHz: req.Check.FreqHz, latencyNs: req.Check.LatencyNs, buffer: req.Check.Buffer}
-			a.check = s.batchSub(resp, hit, err, e.cache.check.getAny(tenant, key))
-		}
-		if req.MinFreqB != nil {
-			resp, hit, err := s.resolveMinFreq(ctx, e, *req.MinFreqB, false, tenant)
-			a.minfreq = s.batchSub(resp, hit, err, e.cache.minfreq.getAny(tenant, *req.MinFreqB))
-		}
-		if req.Verdict {
-			resp, hit, err := s.resolveVerdict(ctx, e)
-			a.verdict = s.batchSub(resp, hit, err, e.cache.verdict.last())
+		for _, q := range qs {
+			answers[i].subs[q.ep] = s.batchSub(ctx, e, q, tenant)
 		}
 	}
 	for i := range answers {
@@ -191,21 +197,11 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			b = append(b, `,"error":"unknown stream"}`...)
 			continue
 		}
-		if a.curves != nil {
-			b = append(b, `,"curves":`...)
-			b = append(b, a.curves...)
-		}
-		if a.check != nil {
-			b = append(b, `,"check":`...)
-			b = append(b, a.check...)
-		}
-		if a.minfreq != nil {
-			b = append(b, `,"minfreq":`...)
-			b = append(b, a.minfreq...)
-		}
-		if a.verdict != nil {
-			b = append(b, `,"verdict":`...)
-			b = append(b, a.verdict...)
+		for ep, sub := range a.subs {
+			if sub != nil {
+				b = append(b, batchFields[ep]...)
+				b = append(b, sub...)
+			}
 		}
 		b = append(b, '}')
 	}

@@ -43,7 +43,7 @@ func getRaw(t *testing.T, url string) (int, []byte) {
 }
 
 // TestCachedQueriesBitIdenticalToUncached is the differential proof the
-// snapshot cache demands: after every mutation it queries a CACHING server
+// query cache demands: after every mutation it queries a CACHING server
 // twice (miss, then hit) and a freshly built REFERENCE server that replayed
 // the identical batch history but is queried exactly once — so every
 // reference answer is an uncached recomputation — and requires all three

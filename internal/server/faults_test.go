@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wcm/internal/qos"
 	"wcm/internal/stream"
 )
 
@@ -164,88 +166,6 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestDegradedRead drives the full degradation path: a stream whose lock
-// is held past the request deadline serves the last cached snapshot,
-// byte-identical to the last good answer except for the "degraded":true
-// marker, and a query with nothing cached answers 503.
-func TestDegradedRead(t *testing.T) {
-	s, err := New(Config{Stream: streamCfg, RequestTimeout: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/ingest", `{"t":[0,100,200],"demand":[3,5,4]}`); code != http.StatusOK {
-		t.Fatalf("ingest: %d", code)
-	}
-	// Populate the caches.
-	code, _, good := rawGet(t, ts.URL+"/v1/streams/g/curves")
-	if code != http.StatusOK {
-		t.Fatalf("curves: %d", code)
-	}
-	if code, _, _ := rawGet(t, ts.URL+"/v1/streams/g/verdict"); code != http.StatusOK {
-		t.Fatalf("verdict: %d", code)
-	}
-	// Bump the stream version so the cache goes stale (fresh cache hits
-	// never need the lock and would mask the degradation path).
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/contract",
-		`{"upper":[0,100,200],"lower":[0,0,0]}`); code != http.StatusOK {
-		t.Fatalf("contract: %d", code)
-	}
-
-	e := s.get("g")
-	if e == nil {
-		t.Fatal("stream entry missing")
-	}
-	held := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		close(held)
-		e.st.HoldLock(400 * time.Millisecond)
-		close(done)
-	}()
-	<-held
-	// Wait until the holder actually owns the lock: SnapshotWithin(0) is a
-	// single TryLock probe.
-	for {
-		if _, err := e.st.SnapshotWithin(0); err != nil {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	code, hdr, body := rawGet(t, ts.URL+"/v1/streams/g/curves")
-	if code != http.StatusOK {
-		t.Fatalf("degraded curves: %d %s", code, body)
-	}
-	if hdr.Get("X-Wcm-Degraded") != "true" {
-		t.Fatal("degraded response missing X-Wcm-Degraded header")
-	}
-	want := string(good[:len(good)-2]) + `,"degraded":true}` + "\n"
-	if string(body) != want {
-		t.Fatalf("degraded body not the cached snapshot:\n got %q\nwant %q", body, want)
-	}
-	// A parameterized query with no cached answer cannot degrade: 503.
-	code, hdr, _ = rawGet(t, ts.URL+"/v1/streams/g/minfreq?b=7")
-	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
-		t.Fatalf("uncached minfreq under contention: %d", code)
-	}
-
-	<-done
-	// Lock free again: fresh answers resume, no degraded marker.
-	code, hdr, fresh := rawGet(t, ts.URL+"/v1/streams/g/curves")
-	if code != http.StatusOK || hdr.Get("X-Wcm-Degraded") != "" {
-		t.Fatalf("fresh curves after hold: %d degraded=%q", code, hdr.Get("X-Wcm-Degraded"))
-	}
-	if strings.Contains(string(fresh), `"degraded"`) {
-		t.Fatalf("fresh body still marked degraded: %s", fresh)
-	}
-	if got := metricValue(t, ts.URL, "wcmd_degraded_responses_total"); got != "1" {
-		t.Fatalf("wcmd_degraded_responses_total = %q, want 1", got)
-	}
-}
-
 // TestSheddingIngest fills the ingest in-flight budget with a request whose
 // body never arrives and checks that the next ingest is shed with 429 +
 // Retry-After while reads and observability endpoints keep working.
@@ -319,80 +239,290 @@ func TestSheddingIngest(t *testing.T) {
 	}
 }
 
-// TestSheddingReadDegrades saturates the read budget and checks the tiered
-// fallback: fresh cache → normal answer, stale cache → degraded answer,
-// nothing cached → 429.
-func TestSheddingReadDegrades(t *testing.T) {
-	s, err := New(Config{Stream: streamCfg, MaxInflightRead: 1})
+// readCase is one cached read endpoint in one wire format, as the fallback
+// tables drive it.
+type readCase struct {
+	name   string
+	method string
+	path   string // after /v1/streams/{id}
+	body   string
+	binary bool
+}
+
+// readCases lists every cached read endpoint × format (/verdict is JSON
+// only).
+var readCases = []readCase{
+	{name: "curves/json", method: "GET", path: "/curves"},
+	{name: "curves/binary", method: "GET", path: "/curves", binary: true},
+	{name: "check/json", method: "POST", path: "/check", body: `{"freq_hz":1000000,"latency_ns":10,"buffer":2}`},
+	{name: "check/binary", method: "POST", path: "/check", body: `{"freq_hz":1000000,"latency_ns":10,"buffer":2}`, binary: true},
+	{name: "minfreq/json", method: "GET", path: "/minfreq?b=2"},
+	{name: "minfreq/binary", method: "GET", path: "/minfreq?b=2", binary: true},
+	{name: "verdict/json", method: "GET", path: "/verdict"},
+}
+
+// fallbackIngest gives a stream enough samples that every read case
+// answers 200.
+const fallbackIngest = `{"t":[0,100,200,300,400,500,600,700],"demand":[3,5,4,6,2,7,5,4]}`
+
+// read issues c against stream id and returns status, headers and exact
+// body bytes.
+func (c readCase) read(t *testing.T, baseURL, id string) (int, http.Header, []byte) {
+	t.Helper()
+	var rd io.Reader
+	if c.body != "" {
+		rd = strings.NewReader(c.body)
+	}
+	req, err := http.NewRequest(c.method, baseURL+"/v1/streams/"+id+c.path, rd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	if c.binary {
+		req.Header.Set("Accept", ContentTypeQueryBinary)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, body
+}
 
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/rd/ingest", `{"t":[0,100],"demand":[2,3]}`); code != http.StatusOK {
-		t.Fatalf("ingest: %d", code)
-	}
-	code, _, good := rawGet(t, ts.URL+"/v1/streams/rd/curves")
-	if code != http.StatusOK {
-		t.Fatalf("curves: %d", code)
-	}
-
-	// Saturate the read class with a /check whose body never arrives.
-	pr, pw := io.Pipe()
-	blockedDone := make(chan struct{})
-	go func() {
-		defer close(blockedDone)
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/streams/rd/check", pr)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-	}()
-	for s.limRead.Inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Fresh cache: the shed read is served normally from it.
-	code, hdr, body := rawGet(t, ts.URL+"/v1/streams/rd/curves")
-	if code != http.StatusOK || hdr.Get("X-Wcm-Degraded") != "" || string(body) != string(good) {
-		t.Fatalf("shed read with fresh cache: %d degraded=%q", code, hdr.Get("X-Wcm-Degraded"))
-	}
-
-	// Stale cache (contract bump is ingest class, not blocked): degraded.
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/rd/contract",
-		`{"upper":[0,100,200],"lower":[0,0,0]}`); code != http.StatusOK {
-		t.Fatalf("contract: %d", code)
-	}
-	code, hdr, body = rawGet(t, ts.URL+"/v1/streams/rd/curves")
+// wantDegraded checks a degraded answer against the last good one: JSON
+// bodies carry "degraded":true spliced before the closing brace, binary
+// bodies are served unmodified in their own content type, and both carry
+// the X-Wcm-Degraded header.
+func (c readCase) wantDegraded(t *testing.T, code int, hdr http.Header, body, good []byte) {
+	t.Helper()
 	if code != http.StatusOK || hdr.Get("X-Wcm-Degraded") != "true" {
-		t.Fatalf("shed read with stale cache: %d degraded=%q %s", code, hdr.Get("X-Wcm-Degraded"), body)
+		t.Fatalf("degraded read: %d degraded=%q %s", code, hdr.Get("X-Wcm-Degraded"), body)
 	}
-	if want := string(good[:len(good)-2]) + `,"degraded":true}` + "\n"; string(body) != want {
-		t.Fatalf("degraded shed body:\n got %q\nwant %q", body, want)
+	want, ct := string(good[:len(good)-2])+`,"degraded":true}`+"\n", "application/json"
+	if c.binary {
+		want, ct = string(good), ContentTypeQueryBinary
+	}
+	if string(body) != want || hdr.Get("Content-Type") != ct {
+		t.Fatalf("degraded body (%s):\n got %q\nwant %q (%s)", hdr.Get("Content-Type"), body, want, ct)
+	}
+}
+
+// holdLocks holds every named stream's lock for d and returns once all of
+// them are held; the returned channel closes when every hold has ended.
+func holdLocks(t *testing.T, s *Server, d time.Duration, ids ...string) <-chan struct{} {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		e := s.get(id)
+		if e == nil {
+			t.Fatalf("stream %q missing", id)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.st.HoldLock(d)
+		}()
+		// SnapshotWithin(0) is a single TryLock probe: it fails once the
+		// holder owns the lock.
+		for {
+			if _, err := e.st.SnapshotWithin(0); err != nil {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	return done
+}
+
+// TestDegradedRead drives the deadline degradation path of every cached
+// read: a stream whose lock is held past the request deadline serves its
+// last cached answer, byte-identical to the last good answer except for
+// the degraded marker, and a stream with nothing cached answers 503.
+func TestDegradedRead(t *testing.T) {
+	for _, c := range readCases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Stream: streamCfg, RequestTimeout: 40 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, id := range []string{"g", "cold"} {
+				if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/"+id+"/ingest", fallbackIngest); code != http.StatusOK {
+					t.Fatalf("ingest %s: %d", id, code)
+				}
+			}
+			code, _, good := c.read(t, ts.URL, "g") // populates the cache
+			if code != http.StatusOK {
+				t.Fatalf("read: %d %s", code, good)
+			}
+			// Bump the version so the cached answer goes stale (a fresh
+			// hit never needs the lock and would mask the degraded path).
+			if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/contract",
+				`{"upper":[0,100,200],"lower":[0,0,0]}`); code != http.StatusOK {
+				t.Fatalf("contract: %d", code)
+			}
+
+			released := holdLocks(t, s, 300*time.Millisecond, "g", "cold")
+			code, hdr, body := c.read(t, ts.URL, "g")
+			c.wantDegraded(t, code, hdr, body, good)
+			// Nothing cached for this query on "cold": it cannot degrade.
+			code, hdr, body = c.read(t, ts.URL, "cold")
+			if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+				t.Fatalf("uncached read under contention: %d %s", code, body)
+			}
+			<-released
+
+			// Lock free again: fresh answers resume, no degraded marker.
+			code, hdr, fresh := c.read(t, ts.URL, "g")
+			if code != http.StatusOK || hdr.Get("X-Wcm-Degraded") != "" || bytes.Contains(fresh, []byte(`"degraded"`)) {
+				t.Fatalf("fresh read after hold: %d degraded=%q %s", code, hdr.Get("X-Wcm-Degraded"), fresh)
+			}
+			if got := metricValue(t, ts.URL, "wcmd_degraded_responses_total"); got != "1" {
+				t.Fatalf("wcmd_degraded_responses_total = %q, want 1", got)
+			}
+		})
 	}
 
-	// Nothing cached (unknown stream): plain shed. The hint grows with
-	// shed pressure (this is the third shed in the window on a 1-slot
-	// limiter), so only its clamp range is asserted here — the exact
-	// proportionality is pinned down by TestRetryAfterProportional.
-	code, hdr, _ = rawGet(t, ts.URL+"/v1/streams/nope/curves")
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("shed read with no cache: %d", code)
-	}
-	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil ||
-		secs < retryAfterFloorSeconds || secs > maxRetryAfterSeconds {
-		t.Fatalf("shed Retry-After = %q, want integer in [%d,%d]",
-			hdr.Get("Retry-After"), retryAfterFloorSeconds, maxRetryAfterSeconds)
+	// One endpoint's render never drops another endpoint's last answer: a
+	// /check rendered at a newer version leaves the stale /curves answer
+	// in place as /curves' degraded fallback.
+	t.Run("curves survives a newer check", func(t *testing.T) {
+		s, err := New(Config{Stream: streamCfg, RequestTimeout: 40 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/ingest", fallbackIngest); code != http.StatusOK {
+			t.Fatalf("ingest: %d", code)
+		}
+		curves, check := readCases[0], readCases[2]
+		code, _, good := curves.read(t, ts.URL, "g")
+		if code != http.StatusOK {
+			t.Fatalf("curves: %d", code)
+		}
+		if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/contract",
+			`{"upper":[0,100,200],"lower":[0,0,0]}`); code != http.StatusOK {
+			t.Fatalf("contract: %d", code)
+		}
+		if code, _, body := check.read(t, ts.URL, "g"); code != http.StatusOK {
+			t.Fatalf("check at the new version: %d %s", code, body)
+		}
+		released := holdLocks(t, s, 300*time.Millisecond, "g")
+		code, hdr, body := curves.read(t, ts.URL, "g")
+		curves.wantDegraded(t, code, hdr, body, good)
+		<-released
+	})
+}
+
+// TestSheddingReadDegrades saturates the read budget and checks the tiered
+// shed fallback of every cached read: fresh cache → normal answer, stale
+// cache → degraded answer, nothing cached → 429.
+func TestSheddingReadDegrades(t *testing.T) {
+	for _, c := range readCases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Stream: streamCfg, MaxInflightRead: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, id := range []string{"rd", "cold"} {
+				if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/"+id+"/ingest", fallbackIngest); code != http.StatusOK {
+					t.Fatalf("ingest %s: %d", id, code)
+				}
+			}
+			code, _, good := c.read(t, ts.URL, "rd")
+			if code != http.StatusOK {
+				t.Fatalf("read: %d %s", code, good)
+			}
+
+			// Saturate the read class with a /check whose body never arrives.
+			pr, pw := io.Pipe()
+			blockedDone := make(chan struct{})
+			go func() {
+				defer close(blockedDone)
+				req, _ := http.NewRequest("POST", ts.URL+"/v1/streams/rd/check", pr)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck
+				resp.Body.Close()
+			}()
+			for s.limRead.Inflight() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+
+			// Fresh cache: the shed read is served normally from it.
+			code, hdr, body := c.read(t, ts.URL, "rd")
+			if code != http.StatusOK || hdr.Get("X-Wcm-Degraded") != "" || string(body) != string(good) {
+				t.Fatalf("shed read with fresh cache: %d degraded=%q %s", code, hdr.Get("X-Wcm-Degraded"), body)
+			}
+
+			// Stale cache (contract bump is ingest class, not blocked): degraded.
+			if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/rd/contract",
+				`{"upper":[0,100,200],"lower":[0,0,0]}`); code != http.StatusOK {
+				t.Fatalf("contract: %d", code)
+			}
+			code, hdr, body = c.read(t, ts.URL, "rd")
+			c.wantDegraded(t, code, hdr, body, good)
+
+			// Nothing cached for this query on "cold": plain shed. The hint
+			// grows with shed pressure, so only its clamp range is asserted
+			// here — TestRetryAfterProportional pins the proportionality.
+			code, hdr, body = c.read(t, ts.URL, "cold")
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("shed read with no cache: %d %s", code, body)
+			}
+			if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil ||
+				secs < retryAfterFloorSeconds || secs > maxRetryAfterSeconds {
+				t.Fatalf("shed Retry-After = %q, want integer in [%d,%d]",
+					hdr.Get("Retry-After"), retryAfterFloorSeconds, maxRetryAfterSeconds)
+			}
+
+			pw.Close() // unblock; the parked /check fails decode, that's fine
+			<-blockedDone
+			if s.limRead.Inflight() != 0 {
+				t.Fatalf("in-flight not released: %d", s.limRead.Inflight())
+			}
+		})
 	}
 
-	pw.Close() // unblock; the parked /check fails decode, that's fine
-	<-blockedDone
-	if s.limRead.Inflight() != 0 {
-		t.Fatalf("in-flight not released: %d", s.limRead.Inflight())
-	}
+	// A shed read is parsed like an admitted one: invalid /check
+	// parameters get the handler's 400, not a 429 or a cached answer.
+	t.Run("check/invalid", func(t *testing.T) {
+		s, err := New(Config{Stream: streamCfg, MaxInflightRead: -1, Tenants: []qos.TenantConfig{
+			{Name: "ro", RatePerSec: 1, Burst: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/rd/ingest", fallbackIngest); code != http.StatusOK {
+			t.Fatalf("ingest: %d", code)
+		}
+		const bad = `{"freq_hz":0,"latency_ns":10,"buffer":2}`
+		for i := 0; i < 2; i++ { // the second read is throttled into the shed fallback
+			code, _, body := doAs(t, "ro", "POST", ts.URL+"/v1/streams/rd/check", bad)
+			if code != http.StatusBadRequest || !strings.Contains(string(body), "need freq_hz") {
+				t.Fatalf("read %d with invalid check parameters: %d %s", i, code, body)
+			}
+		}
+		if ro := tenantRecord(t, ts.URL, "ro"); ro.Throttled+ro.Degraded != 1 {
+			t.Fatalf("second read not refused admission: %+v", ro)
+		}
+	})
 }
 
 // TestLockHoldFault checks the lockhold fault end to end: a faulted ingest

@@ -450,7 +450,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		"wcmd_violating_batches_total", m.violatingBatches.Load())
 	emit("Ingest batches decoded from the binary wire format.", "counter",
 		"wcmd_ingest_binary_batches_total", m.binaryBatches.Load())
-	emit("Query responses replayed from the version-keyed snapshot cache.", "counter",
+	emit("Query responses replayed from the version-keyed query cache.", "counter",
 		"wcmd_query_cache_hits_total", m.cacheHits.Load())
 	emit("Query responses computed because no cached answer matched.", "counter",
 		"wcmd_query_cache_misses_total", m.cacheMisses.Load())

@@ -135,7 +135,7 @@ func TestTenantThrottledReadDegrades(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/dg/ingest", `{"t":[0,100],"demand":[2,3]}`); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
 	}
-	code, _, good := rawGet(t, ts.URL+"/v1/streams/dg/curves") // untagged warms the slot
+	code, _, good := rawGet(t, ts.URL+"/v1/streams/dg/curves") // untagged warms the cache
 	if code != http.StatusOK {
 		t.Fatalf("warm read: %d", code)
 	}
@@ -428,33 +428,37 @@ func TestBatchQueryDedup(t *testing.T) {
 // epoch reset: one tenant sweeping parameters past the cap restarts only
 // its own bucket and can never evict another tenant's cached answers.
 func TestParamCacheTenantChurn(t *testing.T) {
-	var pc paramCache[int]
+	var pc paramCache
+	key := func(b int) readQuery { return readQuery{ep: epMinFreq, b: b} }
 	keep := &cachedResp{status: 200, body: []byte("A"), version: 7}
-	pc.put(7, "a", 1, keep)
+	pc.put("a", key(1), keep)
+	if got := pc.get("z", key(1)); got != keep {
+		t.Fatalf("a version's only answer not served to another tenant: %v", got)
+	}
 
 	resets := 0
 	for k := 0; k < maxCachedQueries+40; k++ {
-		if pc.put(7, "b", k, &cachedResp{status: 200, version: 7}) {
+		if pc.put("b", key(k), &cachedResp{status: 200, version: 7}) {
 			resets++
 		}
 	}
 	if resets == 0 {
 		t.Fatal("b's sweep never hit the per-tenant cap")
 	}
-	if got := pc.get(7, "a", 1); got != keep {
+	if got := pc.get("a", key(1)); got != keep {
 		t.Fatalf("a's entry evicted by b's churn: %v", got)
 	}
 	// And a's own sweep does reset a's bucket (the cap still works).
 	for k := 10; k < maxCachedQueries+11; k++ {
-		pc.put(7, "a", k, &cachedResp{status: 200, version: 7})
+		pc.put("a", key(k), &cachedResp{status: 200, version: 7})
 	}
-	if pc.get(7, "a", 1) != nil {
+	if pc.get("a", key(1)) != nil {
 		t.Fatal("a's bucket never reset at its own cap")
 	}
-	// getAny falls back across tenants for the degraded path: a tenant
-	// with no bucket of its own can ride any tenant's cached bytes.
-	if pc.getAny("c", maxCachedQueries+20) == nil { // lives in b's post-reset epoch
-		t.Fatal("getAny found nothing for an unseen tenant")
+	// get falls back across tenants: a tenant with no bucket of its own
+	// can ride any tenant's cached bytes.
+	if pc.get("c", key(maxCachedQueries+20)) == nil { // lives in b's post-reset epoch
+		t.Fatal("get found nothing for an unseen tenant")
 	}
 }
 

@@ -414,6 +414,20 @@ func TestParseCheckBodyDifferential(t *testing.T) {
 	}
 }
 
+// TestDecodeCheckRequestOmittedFields: the /check body decodes into a
+// pooled request, so a field the body omits must come out zero, never as
+// the previous request's value.
+func TestDecodeCheckRequestOmittedFields(t *testing.T) {
+	sc := &queryScratch{req: checkRequest{FreqHz: 9, LatencyNs: 9, Buffer: 9}}
+	r := httptest.NewRequest("POST", "/v1/streams/s/check", strings.NewReader(`{"freq_hz":5}`))
+	if err := decodeCheckRequest(r, sc, &sc.req); err != nil {
+		t.Fatal(err)
+	}
+	if want := (checkRequest{FreqHz: 5}); sc.req != want {
+		t.Fatalf("decoded %+v, want %+v", sc.req, want)
+	}
+}
+
 // TestMinfreqBDifferential: the manual RawQuery parse must agree with the
 // url.Values reference semantics on every query shape.
 func TestMinfreqBDifferential(t *testing.T) {

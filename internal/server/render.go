@@ -17,7 +17,7 @@ import (
 // per miss (body + cachedResp), zero per hit — instead of the json.Marshal
 // reflection walk and its garbage. The hand-rolled JSON renderers are
 // byte-for-byte identical to renderJSON (encoding/json field order, float
-// formatting, trailing newline); TestRenderersMatchEncodingJSON holds them
+// formatting, trailing newline); TestUncachedServerBitIdentical holds them
 // to that.
 
 // renderPool recycles render scratch buffers across misses.
@@ -365,6 +365,9 @@ func decodeCheckRequest(r *http.Request, sc *queryScratch, req *checkRequest) er
 	if err != nil {
 		return err
 	}
+	// Reset first: req is pooled, and a field the body omits must read
+	// zero, not the previous request's value.
+	*req = checkRequest{}
 	if parseCheckBody(sc.body, req) {
 		return nil
 	}

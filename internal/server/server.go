@@ -362,11 +362,11 @@ var endpointNames = []string{
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/streams/{id}/ingest", s.instrument("ingest", classIngest, s.handleIngest, nil))
-	s.mux.HandleFunc("GET /v1/streams/{id}/curves", s.instrument("curves", classRead, s.handleCurves, s.shedCurves))
-	s.mux.HandleFunc("POST /v1/streams/{id}/check", s.instrument("check", classRead, s.handleCheck, s.shedCheck))
-	s.mux.HandleFunc("GET /v1/streams/{id}/minfreq", s.instrument("minfreq", classRead, s.handleMinFreq, s.shedMinFreq))
+	s.mux.HandleFunc("GET /v1/streams/{id}/curves", s.readRoute("curves", epCurves))
+	s.mux.HandleFunc("POST /v1/streams/{id}/check", s.readRoute("check", epCheck))
+	s.mux.HandleFunc("GET /v1/streams/{id}/minfreq", s.readRoute("minfreq", epMinFreq))
 	s.mux.HandleFunc("POST /v1/streams/{id}/contract", s.instrument("contract", classIngest, s.handleContract, nil))
-	s.mux.HandleFunc("GET /v1/streams/{id}/verdict", s.instrument("verdict", classRead, s.handleVerdict, s.shedVerdict))
+	s.mux.HandleFunc("GET /v1/streams/{id}/verdict", s.readRoute("verdict", epVerdict))
 	s.mux.HandleFunc("POST /v1/query", s.instrument("query", classRead, s.handleBatchQuery, nil))
 	s.mux.HandleFunc("GET /v1/streams", s.instrument("list", classRead, s.handleList, nil))
 	s.mux.HandleFunc("DELETE /v1/streams/{id}", s.instrument("delete", classIngest, s.handleDelete, nil))
@@ -851,575 +851,6 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ---- cached query handlers -------------------------------------------------
-
-// renderJSON marshals v the same way writeJSON does (json.Encoder semantics,
-// trailing newline) into a reusable cached response. It remains the renderer
-// for error answers, /verdict and the DisableQueryCache path; the hot OK
-// paths use the hand renderers in render.go, which are held byte-identical
-// to this one by TestRenderersMatchEncodingJSON.
-func renderJSON(status int, v any) *cachedResp {
-	body, err := json.Marshal(v)
-	if err != nil { // unreachable for the response types used here
-		return &cachedResp{status: http.StatusInternalServerError,
-			body: []byte(`{"error":"encoding failure"}` + "\n")}
-	}
-	return &cachedResp{status: status, body: append(body, '\n')}
-}
-
-func writeCached(w http.ResponseWriter, resp *cachedResp) {
-	ct := "application/json"
-	if resp.binary {
-		ct = ContentTypeQueryBinary
-	}
-	setHeaderValue(w.Header(), "Content-Type", ct)
-	w.WriteHeader(resp.status)
-	w.Write(resp.body) //nolint:errcheck // client gone; nothing to do
-}
-
-// freshSnapshot takes a snapshot honoring the request deadline: when ctx
-// carries one the stream lock is only waited for until then — past it the
-// call fails with stream.ErrBusy and the caller degrades (see busyFallback).
-// On a traced request it notes the settle the snapshot paid for, which
-// observeResolve attaches to the resolve span.
-func freshSnapshot(ctx context.Context, e *entry) (snap stream.Snapshot, err error) {
-	if dl, ok := ctx.Deadline(); ok {
-		snap, err = e.st.SnapshotWithin(time.Until(dl))
-	} else {
-		snap, err = e.st.Snapshot()
-	}
-	if snap.Settled > 0 {
-		if rq := obs.FromContext(ctx); rq != nil && rq.Trace != nil {
-			rq.Settled += snap.Settled
-			rq.SettleRebuilt = rq.SettleRebuilt || snap.Rebuilt
-		}
-	}
-	return snap, err
-}
-
-// statsFor mirrors freshSnapshot for the /verdict stats read.
-func statsFor(ctx context.Context, e *entry) (stream.Stats, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		return e.st.StatsWithin(time.Until(dl))
-	}
-	return e.st.Stats(), nil
-}
-
-// ---- query resolvers -------------------------------------------------------
-//
-// Each resolver answers one endpoint from the per-stream cache: a fresh
-// cached response is a hit (one atomic load); otherwise exactly one
-// goroutine per (endpoint, format, parameters, stream generation) renders
-// under singleflight while concurrent readers of the same key wait for its
-// result — bounded by their request deadline, past which they fall out with
-// stream.ErrBusy into the degraded-read path. With DisableQueryCache every
-// call renders from scratch (the honest uncached baseline for benchmarks).
-
-// observeFlight counts singleflight outcomes: a led flight performed (at
-// most) the one render for its (key, generation); shared flights
-// piggybacked on a leader.
-func (s *Server) observeFlight(ctx context.Context, led bool) {
-	if led {
-		s.metrics.sfLeader.Add(1)
-	} else {
-		s.metrics.sfShared.Add(1)
-	}
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		// Marker span: the role decides whether this request paid for the
-		// render or piggybacked; the duration lives in the resolve span.
-		role := "follower"
-		if led {
-			role = "leader"
-		}
-		now := time.Now()
-		tr.RecordAt("singleflight", tr.Root(), now, now).Str("role", role)
-	}
-}
-
-func (s *Server) resolveCurves(ctx context.Context, e *entry, binary bool) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		snap, err := freshSnapshot(ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		if binary {
-			return renderCurvesResp(snap, true), false, nil
-		}
-		return renderJSON(http.StatusOK, curvesResponse{
-			Version:  snap.Version,
-			Total:    snap.Total,
-			InWindow: snap.InWindow,
-			Upper:    snap.Workload.Upper.Values(),
-			Lower:    snap.Workload.Lower.Values(),
-			DMin:     snap.Spans,
-			DMax:     snap.MaxSpans,
-		}), false, nil
-	}
-	slot := e.cache.curvesSlot(binary)
-	v := e.st.Version()
-	if resp := slot.get(v); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epCurves, binary: binary, version: v},
-		func() (*cachedResp, error) {
-			if resp := slot.get(v); resp != nil {
-				return resp, nil // a previous leader published while we queued
-			}
-			snap, err := freshSnapshot(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderCurvesResp(snap, binary)
-			slot.put(resp)
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
-}
-
-// renderCheck computes eq. (8) on snap and renders the answer; computation
-// errors keep their 409 JSON shape whatever format was negotiated.
-func renderCheck(snap stream.Snapshot, req checkRequest, binary bool) *cachedResp {
-	ok, err := snap.CheckService(req.FreqHz, req.LatencyNs, req.Buffer)
-	if err != nil {
-		resp := renderJSON(http.StatusConflict, errorResponse{err.Error()})
-		resp.version = snap.Version
-		return resp
-	}
-	return renderCheckResp(snap.Version, ok, binary)
-}
-
-func (s *Server) resolveCheck(ctx context.Context, e *entry, req checkRequest, binary bool, tenant string) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		snap, err := freshSnapshot(ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		if binary {
-			return renderCheck(snap, req, true), false, nil
-		}
-		ok, cerr := snap.CheckService(req.FreqHz, req.LatencyNs, req.Buffer)
-		if cerr != nil {
-			return renderJSON(http.StatusConflict, errorResponse{cerr.Error()}), false, nil
-		}
-		return renderJSON(http.StatusOK, checkResponse{Version: snap.Version, OK: ok}), false, nil
-	}
-	key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
-	pc := e.cache.checkCache(binary)
-	v := e.st.Version()
-	if resp := pc.get(v, tenant, key); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epCheck, binary: binary, version: v, ck: key},
-		func() (*cachedResp, error) {
-			if resp := pc.get(v, tenant, key); resp != nil {
-				return resp, nil
-			}
-			snap, err := freshSnapshot(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderCheck(snap, req, binary)
-			if pc.put(snap.Version, tenant, key, resp) {
-				s.metrics.epochResets.Add(1)
-			}
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
-}
-
-// renderMinFreq computes eq. (9)/(10) on snap and renders the answer.
-func renderMinFreq(snap stream.Snapshot, b int, binary bool) *cachedResp {
-	cmp, err := snap.MinFrequency(b)
-	if err != nil {
-		resp := renderJSON(http.StatusConflict, errorResponse{err.Error()})
-		resp.version = snap.Version
-		return resp
-	}
-	return renderMinFreqResp(minFreqResponse{
-		Version:       snap.Version,
-		GammaHz:       cmp.Gamma.Hz,
-		GammaAtK:      cmp.Gamma.AtK,
-		GammaAtSpanNs: cmp.Gamma.AtSpanNs,
-		WCETHz:        cmp.WCET.Hz,
-		WCETAtK:       cmp.WCET.AtK,
-		Saving:        cmp.Saving,
-		Buffer:        b,
-	}, binary)
-}
-
-func (s *Server) resolveMinFreq(ctx context.Context, e *entry, b int, binary bool, tenant string) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		snap, err := freshSnapshot(ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		if binary {
-			return renderMinFreq(snap, b, true), false, nil
-		}
-		cmp, merr := snap.MinFrequency(b)
-		if merr != nil {
-			return renderJSON(http.StatusConflict, errorResponse{merr.Error()}), false, nil
-		}
-		return renderJSON(http.StatusOK, minFreqResponse{
-			Version:       snap.Version,
-			GammaHz:       cmp.Gamma.Hz,
-			GammaAtK:      cmp.Gamma.AtK,
-			GammaAtSpanNs: cmp.Gamma.AtSpanNs,
-			WCETHz:        cmp.WCET.Hz,
-			WCETAtK:       cmp.WCET.AtK,
-			Saving:        cmp.Saving,
-			Buffer:        b,
-		}), false, nil
-	}
-	pc := e.cache.minfreqCache(binary)
-	v := e.st.Version()
-	if resp := pc.get(v, tenant, b); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epMinFreq, binary: binary, version: v, b: b},
-		func() (*cachedResp, error) {
-			if resp := pc.get(v, tenant, b); resp != nil {
-				return resp, nil
-			}
-			snap, err := freshSnapshot(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderMinFreq(snap, b, binary)
-			if pc.put(snap.Version, tenant, b, resp) {
-				s.metrics.epochResets.Add(1)
-			}
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
-}
-
-// renderVerdict renders the /verdict answer (JSON only).
-func renderVerdict(stats stream.Stats) *cachedResp {
-	resp := renderJSON(http.StatusOK, verdictResponse{
-		Version:        stats.Version,
-		Admitted:       stats.Violations == 0,
-		ContractSet:    stats.ContractSet,
-		Total:          stats.Total,
-		Violations:     stats.Violations,
-		FirstViolation: violationFrom(stats.FirstViolation),
-		Drift:          stats.Drift,
-	})
-	resp.version = stats.Version
-	return resp
-}
-
-func (s *Server) resolveVerdict(ctx context.Context, e *entry) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		stats, err := statsFor(ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		return renderVerdict(stats), false, nil
-	}
-	v := e.st.Version()
-	if resp := e.cache.verdict.get(v); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epVerdict, version: v},
-		func() (*cachedResp, error) {
-			if resp := e.cache.verdict.get(v); resp != nil {
-				return resp, nil
-			}
-			stats, err := statsFor(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderVerdict(stats)
-			e.cache.verdict.put(resp)
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
-}
-
-// ---- degraded reads --------------------------------------------------------
-
-// degradedSuffix closes a degraded response body: cached bodies are JSON
-// objects rendered by renderJSON and always end "}\n", so splicing the
-// marker before the brace keeps every other byte identical to the last
-// good answer.
-var degradedSuffix = []byte(",\"degraded\":true}\n")
-
-// degradedBody returns resp's body with "degraded":true spliced into the
-// object, or nil when resp is unusable as a degraded answer (error status,
-// or not shaped like a rendered object).
-func degradedBody(resp *cachedResp) []byte {
-	if resp == nil || resp.status != http.StatusOK {
-		return nil
-	}
-	b := resp.body
-	if len(b) < 2 || b[len(b)-2] != '}' || b[len(b)-1] != '\n' {
-		return nil
-	}
-	out := make([]byte, 0, len(b)-2+len(degradedSuffix))
-	out = append(out, b[:len(b)-2]...)
-	return append(out, degradedSuffix...)
-}
-
-// serveDegraded writes a stale-but-valid cached answer marked degraded,
-// with the X-Wcm-Degraded header for clients that route on headers, and
-// logs how stale the data is.
-func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request, e *entry, body []byte, binary bool) {
-	s.metrics.degraded.Add(1)
-	obs.TraceFrom(r.Context()).Mark(trace.KeepDegraded)
-	w.Header().Set("X-Wcm-Degraded", "true")
-	ct := "application/json"
-	if binary {
-		ct = ContentTypeQueryBinary
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck // client gone; nothing to do
-	var age time.Duration
-	if lm := e.st.LastMutation(); !lm.IsZero() {
-		age = time.Since(lm)
-	}
-	obs.LoggerFrom(r.Context()).LogAttrs(r.Context(), slog.LevelWarn, "degraded response",
-		slog.String("path", r.URL.Path), slog.Float64("staleness_seconds", age.Seconds()))
-}
-
-// serveStale serves resp as an explicitly degraded answer when usable (a
-// rendered 200). JSON bodies get "degraded":true spliced in; binary bodies
-// are served unmodified — the X-Wcm-Degraded header is the only staleness
-// marker the columnar encoding carries.
-func (s *Server) serveStale(w http.ResponseWriter, r *http.Request, e *entry, resp *cachedResp) bool {
-	if resp == nil || resp.status != http.StatusOK {
-		return false
-	}
-	if resp.binary {
-		s.serveDegraded(w, r, e, resp.body, true)
-		return true
-	}
-	body := degradedBody(resp)
-	if body == nil {
-		return false
-	}
-	s.serveDegraded(w, r, e, body, false)
-	return true
-}
-
-// writeBusy is the answer of last resort on a read or ingest path that ran
-// out of deadline budget with nothing cached to fall back on: 503 with a
-// Retry-After hint (seconds, clamped like every other hint).
-func writeBusy(w http.ResponseWriter, msg string, hint int) {
-	w.Header().Set("Retry-After", retryAfterValue(hint))
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{msg})
-}
-
-// busyFallback resolves a snapshot/stats failure on a read path: ErrBusy
-// (lock contended past the request deadline, or a singleflight wait that
-// outlived the deadline) degrades to the last cached answer when one
-// exists — 503 otherwise — and every other error keeps its 409 shape from
-// before the resilience layer.
-func (s *Server) busyFallback(w http.ResponseWriter, r *http.Request, e *entry, err error, last *cachedResp) {
-	if !errors.Is(err, stream.ErrBusy) {
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
-	}
-	if s.serveStale(w, r, e, last) {
-		return
-	}
-	// Deadline contention, not queue pressure: the floor hint is honest.
-	writeBusy(w, "stream busy past request deadline; no cached answer", retryAfterFloorSeconds)
-}
-
-// shedFunc is a shed/throttle fallback handler: it answers a request that
-// was refused admission, carrying the Retry-After hint (seconds) computed
-// from the pressure that refused it.
-type shedFunc func(w http.ResponseWriter, r *http.Request, hint int)
-
-// degradeOr is the shed fallback core for read endpoints: a fresh cached
-// answer (stream version unchanged) is served normally — a shed read that
-// costs one atomic load is not worth turning away — a stale one is served
-// marked degraded, and with nothing cached the request is shed with 429.
-func (s *Server) degradeOr(w http.ResponseWriter, r *http.Request, e *entry, resp *cachedResp, hint int) {
-	if resp == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	if resp.version == e.st.Version() {
-		writeCached(w, resp)
-		return
-	}
-	if s.serveStale(w, r, e, resp) {
-		return
-	}
-	writeShed(w, "read", hint)
-}
-
-// shedCurves — shed fallback for GET /curves (see degradeOr).
-func (s *Server) shedCurves(w http.ResponseWriter, r *http.Request, hint int) {
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	s.degradeOr(w, r, e, e.cache.curvesSlot(acceptsBinary(r)).last(), hint)
-}
-
-// shedVerdict — shed fallback for GET /verdict.
-func (s *Server) shedVerdict(w http.ResponseWriter, r *http.Request, hint int) {
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	s.degradeOr(w, r, e, e.cache.verdict.last(), hint)
-}
-
-// shedCheck — shed fallback for POST /check. The body still has to be
-// decoded (the cache is keyed by the query parameters), but the stream
-// lock is never touched.
-func (s *Server) shedCheck(w http.ResponseWriter, r *http.Request, hint int) {
-	sc := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(sc)
-	req := &sc.req
-	if err := decodeCheckRequest(r, sc, req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
-	s.degradeOr(w, r, e, e.cache.checkCache(acceptsBinary(r)).getAny(s.tenantFor(r).name, key), hint)
-}
-
-// shedMinFreq — shed fallback for GET /minfreq.
-func (s *Server) shedMinFreq(w http.ResponseWriter, r *http.Request, hint int) {
-	b, ok := minfreqB(r)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	s.degradeOr(w, r, e, e.cache.minfreqCache(acceptsBinary(r)).getAny(s.tenantFor(r).name, b), hint)
-}
-
-// observeResolve closes a cached query's cache_hit or cache_miss stage,
-// opened at start, and bumps the matching counter. A miss's resolve span
-// also carries the settle its snapshot paid for (see freshSnapshot).
-func (s *Server) observeResolve(ctx context.Context, hit bool, start time.Time) {
-	id := stageCacheMiss
-	if hit {
-		id = stageCacheHit
-		s.metrics.cacheHits.Add(1)
-	} else {
-		s.metrics.cacheMisses.Add(1)
-	}
-	rq := obs.FromContext(ctx)
-	var tr *trace.Active
-	if rq != nil {
-		tr = rq.Trace
-	}
-	sp := s.metrics.closeStage(id, tr, tr.Root(), start, time.Now())
-	if !hit && tr != nil && rq.Settled > 0 {
-		sp.Int("settled", int64(rq.Settled)).Str("rebuilt", strconv.FormatBool(rq.SettleRebuilt))
-	}
-}
-
-func (s *Server) handleCurves(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	binary := acceptsBinary(r)
-	if binary {
-		s.metrics.binaryQueries.Add(1)
-	}
-	resp, hit, err := s.resolveCurves(r.Context(), e, binary)
-	if err != nil {
-		s.observeResolve(r.Context(), false, start)
-		s.busyFallback(w, r, e, err, e.cache.curvesSlot(binary).last())
-		return
-	}
-	writeCached(w, resp)
-	s.observeResolve(r.Context(), hit, start)
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	sc := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(sc)
-	req := &sc.req
-	if err := decodeCheckRequest(r, sc, req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if req.FreqHz <= 0 || req.LatencyNs < 0 || req.Buffer < 0 {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{"need freq_hz > 0, latency_ns ≥ 0, buffer ≥ 0"})
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	start := time.Now()
-	binary := acceptsBinary(r)
-	if binary {
-		s.metrics.binaryQueries.Add(1)
-	}
-	tenant := s.tenantFor(r).name
-	resp, hit, err := s.resolveCheck(r.Context(), e, *req, binary, tenant)
-	if err != nil {
-		s.observeResolve(r.Context(), false, start)
-		key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
-		s.busyFallback(w, r, e, err, e.cache.checkCache(binary).getAny(tenant, key))
-		return
-	}
-	writeCached(w, resp)
-	s.observeResolve(r.Context(), hit, start)
-}
-
-func (s *Server) handleMinFreq(w http.ResponseWriter, r *http.Request) {
-	b, okB := minfreqB(r)
-	if !okB {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	start := time.Now()
-	binary := acceptsBinary(r)
-	if binary {
-		s.metrics.binaryQueries.Add(1)
-	}
-	tenant := s.tenantFor(r).name
-	resp, hit, err := s.resolveMinFreq(r.Context(), e, b, binary, tenant)
-	if err != nil {
-		s.observeResolve(r.Context(), false, start)
-		s.busyFallback(w, r, e, err, e.cache.minfreqCache(binary).getAny(tenant, b))
-		return
-	}
-	writeCached(w, resp)
-	s.observeResolve(r.Context(), hit, start)
-}
-
 func (s *Server) handleContract(w http.ResponseWriter, r *http.Request) {
 	var req contractRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
@@ -1462,23 +893,6 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"window": window})
-}
-
-func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	resp, hit, err := s.resolveVerdict(r.Context(), e)
-	if err != nil {
-		s.observeResolve(r.Context(), false, start)
-		s.busyFallback(w, r, e, err, e.cache.verdict.last())
-		return
-	}
-	writeCached(w, resp)
-	s.observeResolve(r.Context(), hit, start)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1593,6 +1007,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
+// writeBusy is the answer of last resort on a read or ingest path that ran
+// out of deadline budget with nothing cached to fall back on: 503 with a
+// Retry-After hint (seconds, clamped like every other hint).
+func writeBusy(w http.ResponseWriter, msg string, hint int) {
+	w.Header().Set("Retry-After", retryAfterValue(hint))
+	writeJSON(w, http.StatusServiceUnavailable, errorResponse{msg})
+}
+
 // writeCreateError maps getOrCreate failures: a tenant stream-quota
 // rejection is the client's standing, not a server fault — 429, no
 // Retry-After (quota slots free only when the tenant deletes streams);
@@ -1668,6 +1090,11 @@ func traceIDOK(id string) bool {
 	}
 	return true
 }
+
+// shedFunc is a shed/throttle fallback handler: it answers a request that
+// was refused admission, carrying the Retry-After hint (seconds) computed
+// from the pressure that refused it.
+type shedFunc func(w http.ResponseWriter, r *http.Request, hint int)
 
 // instrument wraps a handler with the body-size limit, the resilience
 // envelope and the per-request observability envelope.
