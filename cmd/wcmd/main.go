@@ -22,8 +22,8 @@
 // /debug/traces/{id}.
 //
 // The serving path is hardened against hostile traffic: connection-level
-// timeouts (-read-timeout, -write-timeout, -idle-timeout) cut slow-loris
-// clients, -request-timeout bounds each handler (contended reads past it
+// timeouts (30 s to read a request, 30 s to write a response, 2 min idle)
+// cut slow-loris clients, -request-timeout bounds each handler (contended reads past it
 // serve the last cached snapshot marked "degraded":true), and per-class
 // in-flight caps (-max-inflight-ingest, -max-inflight-read) shed overload
 // with 429 + Retry-After instead of collapsing. Handler panics answer 500
@@ -42,7 +42,7 @@
 // With -data-dir set, wcmd is durable: every ingest request applies its
 // batch, appends it to a per-shard write-ahead log and commits it (fsynced
 // per -fsync) in its own handler before its 200 goes out; streams are
-// snapshotted every -snapshot-interval, and a restart over the same
+// snapshotted every minute, and a restart over the same
 // directory replays snapshots + WAL tail before the listener binds —
 // kill -9 loses only unacknowledged batches. SIGTERM
 // additionally checkpoints and writes a clean-shutdown marker so the next
@@ -87,15 +87,19 @@ func (l *tenantFlagList) Set(v string) error {
 	return nil
 }
 
-// Transport-level defaults. ReadTimeout covers the whole request read
+// Transport-level settings. ReadTimeout covers the whole request read
 // including the body — the slow-loris bound — while the shorter header
-// timeout cuts clients that never even finish their request line.
+// timeout cuts clients that never even finish their request line. The
+// read, write and idle timeouts and the checkpoint cadence are fixed: no
+// deployment set them to anything else, and tests set serveOpts and
+// server.Config directly.
 const (
 	defaultReadHeaderTimeout = 10 * time.Second
 	defaultReadTimeout       = 30 * time.Second
 	defaultWriteTimeout      = 30 * time.Second
 	defaultIdleTimeout       = 2 * time.Minute
 	defaultRequestTimeout    = 10 * time.Second
+	defaultSnapshotInterval  = time.Minute
 )
 
 // serveOpts carries the transport-level settings that belong to the
@@ -142,12 +146,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		"log requests slower than this at Warn (negative disables)")
 	selfCurves := fs.Bool("self-curves", false,
 		"characterize the server's own request costs and serve them at /debug/self")
-	readTimeout := fs.Duration("read-timeout", defaultReadTimeout,
-		"max duration for reading an entire request including the body (0 disables)")
-	writeTimeout := fs.Duration("write-timeout", defaultWriteTimeout,
-		"max duration for writing a response (0 disables)")
-	idleTimeout := fs.Duration("idle-timeout", defaultIdleTimeout,
-		"max keep-alive idle time between requests (0 disables)")
 	requestTimeout := fs.Duration("request-timeout", defaultRequestTimeout,
 		"per-request handler deadline; contended reads past it serve a degraded cached answer (0 disables)")
 	maxInflightIngest := fs.Int("max-inflight-ingest", server.DefaultMaxInflightIngest,
@@ -160,8 +158,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		"directory for the write-ahead log and snapshots; empty = in-memory only (no durability)")
 	fsyncMode := fs.String("fsync", "batch",
 		`WAL durability policy: "batch" (fsync before each ingest's ack; concurrent ingests into one shard may share it) or "none" (never fsync on ingest)`)
-	snapshotInterval := fs.Duration("snapshot-interval", time.Minute,
-		"how often to snapshot streams and truncate replayed WAL segments (0 disables periodic checkpoints)")
 	var tenantFlags tenantFlagList
 	fs.Var(&tenantFlags, "tenant",
 		`tenant QoS policy "name:slo[:rate[:burst[:maxstreams]]]" (repeatable); slo is interactive|batch|besteffort`)
@@ -215,16 +211,16 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		MaxInflightIngest: *maxInflightIngest,
 		MaxInflightRead:   *maxInflightRead,
 		TraceSample:       *traceSample,
-		SnapshotInterval:  *snapshotInterval,
+		SnapshotInterval:  defaultSnapshotInterval,
 		Faults:            faults,
 		Tenants:           tenants,
 		DefaultSLO:        *defaultSLO,
 	}
 	opts := serveOpts{
 		addr:         *addr,
-		readTimeout:  *readTimeout,
-		writeTimeout: *writeTimeout,
-		idleTimeout:  *idleTimeout,
+		readTimeout:  defaultReadTimeout,
+		writeTimeout: defaultWriteTimeout,
+		idleTimeout:  defaultIdleTimeout,
 		dataDir:      *dataDir,
 		fsync:        fsync,
 	}

@@ -78,6 +78,8 @@ func TestParseFlags(t *testing.T) {
 		{"-coalesce", "7"}, {"-no-query-cache"},
 		{"-ingest-ring", "0"}, {"-wal-segment", "65536"}, {"-trace-store", "65536"},
 		{"-reextract", "-1"},
+		{"-read-timeout", "5s"}, {"-write-timeout", "6s"}, {"-idle-timeout", "7s"},
+		{"-snapshot-interval", "30s"},
 	} {
 		if _, _, err := parseFlags(gone); err == nil {
 			t.Fatalf("removed flag %s accepted", gone[0])
@@ -86,16 +88,11 @@ func TestParseFlags(t *testing.T) {
 }
 
 func TestParseFlagsResilience(t *testing.T) {
-	cfg, opts, err := parseFlags([]string{
-		"-read-timeout", "5s", "-write-timeout", "6s", "-idle-timeout", "7s",
+	cfg, _, err := parseFlags([]string{
 		"-request-timeout", "250ms", "-max-inflight-ingest", "2", "-max-inflight-read", "-1",
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opts.readTimeout != 5*time.Second || opts.writeTimeout != 6*time.Second ||
-		opts.idleTimeout != 7*time.Second {
-		t.Fatalf("opts = %+v", opts)
 	}
 	if cfg.RequestTimeout != 250*time.Millisecond {
 		t.Fatalf("RequestTimeout = %v", cfg.RequestTimeout)
@@ -217,7 +214,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 // hole: before ReadTimeout was set on the http.Server, a client that sent
 // its headers promptly and then dribbled the body could hold a connection
 // (and its handler goroutine) forever — ReadHeaderTimeout alone never
-// fires once the headers are in. With -read-timeout the server must cut
+// fires once the headers are in. With a read timeout the server must cut
 // the connection.
 func TestSlowClientDisconnected(t *testing.T) {
 	cfg := server.Config{Stream: stream.Config{Window: 64, MaxK: 16}}
@@ -320,16 +317,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 func TestParseFlagsDurability(t *testing.T) {
 	cfg, opts, err := parseFlags([]string{
 		"-data-dir", "/tmp/wcmd-data", "-fsync", "none",
-		"-snapshot-interval", "30s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.dataDir != "/tmp/wcmd-data" || opts.fsync != wal.PolicyNone {
 		t.Fatalf("durability opts = %+v", opts)
-	}
-	if cfg.SnapshotInterval != 30*time.Second {
-		t.Fatalf("snapshot interval = %v", cfg.SnapshotInterval)
 	}
 	if _, _, err := parseFlags([]string{"-fsync", "sometimes"}); err == nil {
 		t.Fatal("bad -fsync accepted")

@@ -270,6 +270,16 @@ func FromTraces(traces []events.DemandTrace, maxK int) (Workload, error) {
 	return acc, nil
 }
 
+// within caps n to the largest k both curves are defined at.
+func (w Workload) within(n int) int {
+	for _, c := range [2]curve.Curve{w.Upper, w.Lower} {
+		if !c.Infinite() {
+			n = min(n, c.MaxK())
+		}
+	}
+	return n
+}
+
 // Violation reports where a demand trace breaks a workload characterization.
 type Violation struct {
 	Start int   // window start index (0-based)
@@ -288,8 +298,9 @@ type Violation struct {
 // Admits is the offline audit: it sees the whole trace at once and costs
 // O(K·n). For checking demands as they arrive, use Monitor (the O(window)
 // per-sample streaming equivalent) — or stream.Stream.SetContract /
-// wcmd's /contract + /verdict endpoints, which run a Monitor inside the
-// live characterization service. The failure-injection tests use Admits to
+// wcmd's /contract + /verdict endpoints, which run the same per-sample
+// check, Bounds.Check, over the stream's own prefix ring inside the live
+// characterization service. The failure-injection tests use Admits to
 // show the analysis guarantees are exactly as strong as the model.
 func (w Workload) Admits(d events.DemandTrace) (*Violation, error) {
 	a, err := NewAnalyzer(d)
@@ -310,13 +321,7 @@ func (w Workload) Admits(d events.DemandTrace) (*Violation, error) {
 // exactly the one the naive shortest-window-first scan finds.
 func (w Workload) AdmitsAnalyzed(a *Analyzer) (*Violation, error) {
 	n := a.Len()
-	maxK := n
-	if !w.Upper.Infinite() && w.Upper.MaxK() < maxK {
-		maxK = w.Upper.MaxK()
-	}
-	if !w.Lower.Infinite() && w.Lower.MaxK() < maxK {
-		maxK = w.Lower.MaxK()
-	}
+	maxK := w.within(n)
 	if maxK < 1 {
 		return nil, nil
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"wcm/internal/stream"
@@ -63,6 +64,7 @@ func TestContractErrorPaths(t *testing.T) {
 		{"non-monotone upper", `{"upper":[5,1],"lower":[0,0]}`},
 		{"non-monotone lower", `{"upper":[0,9],"lower":[4,1]}`},
 		{"negative window", `{"upper":[0,1],"lower":[0,0],"window":-3}`},
+		{"window above the stream's", `{"upper":[0,1],"lower":[0,0],"window":17}`},
 	}
 	for _, tc := range cases {
 		code, raw := postRaw(t, ts.URL+"/v1/streams/c/contract", "application/json", []byte(tc.body))
@@ -77,6 +79,105 @@ func TestContractErrorPaths(t *testing.T) {
 	}
 	if got := metricValue(t, ts.URL, `wcmd_request_errors_total{endpoint="contract"}`); got != strconv.Itoa(len(cases)) {
 		t.Fatalf(`request_errors_total{contract} = %q, want %d`, got, len(cases))
+	}
+}
+
+// TestContractWindow pins the window a contract checks and the answer
+// that names it, on a Window 16 stream: an omitted window is the curves'
+// common domain, at most the stream's window; an explicit one is capped to
+// that domain; one above the stream's window is refused. Each installed
+// row then ingests window+1 demands of 5. Where γᵘ(window+1) is below
+// 5·(window+1), only a window longer than the answer violates, so a
+// contract checking more than it says fails the row.
+func TestContractWindow(t *testing.T) {
+	s, err := New(Config{Stream: stream.Config{Window: 16, MaxK: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServerFrom(t, s)
+
+	// γᵘ(k) = 5k up to k = 16 and 5k−1 past it, on k = 0..40.
+	up, lo := make([]int64, 41), make([]int64, 41)
+	for k := range up {
+		up[k] = 5 * int64(k)
+		if k > 16 {
+			up[k]--
+		}
+	}
+	long, _ := json.Marshal(map[string]any{"upper": up, "lower": lo})
+	cases := []struct {
+		label, body string
+		code        int
+		window      int
+		caught      bool // the window+1 demands violate
+	}{
+		{"omitted, lower shortest", `{"upper":[0,5,10,15,20],"lower":[0,0,0]}`, http.StatusOK, 2, false},
+		{"explicit, capped to the curves", `{"upper":[0,5,10,15,20],"lower":[0,0,0],"window":3}`, http.StatusOK, 2, false},
+		{"explicit, inside the curves", `{"upper":[0,5,10,14,20],"lower":[0,0,0,0,0],"window":2}`, http.StatusOK, 2, false},
+		{"explicit, checks its window", `{"upper":[0,5,10,14,20],"lower":[0,0,0,0,0],"window":3}`, http.StatusOK, 3, true},
+		{"above the stream's window", `{"upper":[0,5,10,15,20],"lower":[0,0,0],"window":100}`, http.StatusBadRequest, 0, false},
+		{"omitted, curves past the stream's window", string(long), http.StatusOK, 16, false},
+	}
+	for i, tc := range cases {
+		url := fmt.Sprintf("%s/v1/streams/w%d", ts.URL, i)
+		code, raw := postRaw(t, url+"/contract", "application/json", []byte(tc.body))
+		if code != tc.code {
+			t.Fatalf("%s: %d %s", tc.label, code, raw)
+		}
+		if code != http.StatusOK {
+			continue
+		}
+		if want := fmt.Sprintf(`{"window":%d}`, tc.window); strings.TrimSpace(string(raw)) != want {
+			t.Fatalf("%s: answered %s, want %s", tc.label, raw, want)
+		}
+		n := tc.window + 1
+		demands, stamps := make([]int64, n), make([]int64, n)
+		for j := range demands {
+			demands[j], stamps[j] = 5, int64(j)
+		}
+		in, _ := json.Marshal(map[string]any{"t": stamps, "demand": demands})
+		if code, m := doJSON(t, "POST", url+"/ingest", string(in)); code != http.StatusOK || (m["violation"] != nil) != tc.caught {
+			t.Fatalf("%s: ingest %d %v", tc.label, code, m)
+		}
+	}
+}
+
+// TestContractAboveWindowChangesNothing sends a contract of window 40,000
+// (about half a megabyte) to a stream of window 16 holding a contract: it
+// gets a 400, and the stream's verdict, version included, is unchanged.
+// Without the window the same curves install at the stream's window.
+func TestContractAboveWindowChangesNothing(t *testing.T) {
+	s, err := New(Config{Stream: stream.Config{Window: 16, MaxK: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServerFrom(t, s)
+	url := ts.URL + "/v1/streams/big"
+	if code, _ := doJSON(t, "POST", url+"/ingest", `{"t":[1,2],"demand":[3,4]}`); code != http.StatusOK {
+		t.Fatal("ingest failed")
+	}
+	if code, _ := doJSON(t, "POST", url+"/contract", `{"upper":[0,100],"lower":[0,0]}`); code != http.StatusOK {
+		t.Fatal("contract failed")
+	}
+	_, before := getRaw(t, url+"/verdict")
+
+	const window = 40_000
+	up, lo := make([]int64, window+1), make([]int64, window+1)
+	for k := range up {
+		up[k], lo[k] = 1000*int64(k), int64(k)
+	}
+	curves, _ := json.Marshal(map[string]any{"upper": up, "lower": lo})
+	big := append(curves[:len(curves)-1:len(curves)-1], fmt.Sprintf(`,"window":%d}`, window)...)
+	t.Logf("body %d bytes", len(big))
+	if code, raw := postRaw(t, url+"/contract", "application/json", big); code != http.StatusBadRequest {
+		t.Fatalf("window %d: %d %s", window, code, raw)
+	}
+	if _, after := getRaw(t, url+"/verdict"); !bytes.Equal(after, before) {
+		t.Fatalf("verdict moved: %s, was %s", after, before)
+	}
+	if code, raw := postRaw(t, url+"/contract", "application/json", curves); code != http.StatusOK ||
+		strings.TrimSpace(string(raw)) != `{"window":16}` {
+		t.Fatalf("omitted window: %d %s", code, raw)
 	}
 }
 

@@ -867,32 +867,31 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("lower: %v", err)})
 		return
 	}
-	window := req.Window
-	if window == 0 {
-		window = up.MaxK()
+	// Worked out here, before any stream exists, with the rule SetContract
+	// applies, so a refused window creates nothing and the answer names the
+	// window actually checked.
+	wl := core.Workload{Upper: up, Lower: lo}
+	bounds, err := core.NewBounds(wl, req.Window, s.cfg.Stream.Resolved().Window)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		return
 	}
 	if r.Context().Err() != nil {
 		writeBusy(w, "request deadline exceeded before contract update", retryAfterFloorSeconds)
 		return
 	}
 	id := r.PathValue("id")
-	e, created, err := s.getOrCreate(id, s.tenantFor(r))
+	e, _, err := s.getOrCreate(id, s.tenantFor(r))
 	if err != nil {
 		writeCreateError(w, err)
 		return
 	}
-	if err := e.st.SetContract(core.Workload{Upper: up, Lower: lo}, window); err != nil {
-		if created {
-			s.dropIfEmpty(id, e)
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
+	_ = e.st.SetContract(wl, bounds.Window()) // cannot fail: NewBounds passed this window above
 	if err := s.ensureRegistered(id, e); err != nil {
 		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"window": window})
+	writeJSON(w, http.StatusOK, map[string]int{"window": bounds.Window()})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -12,12 +12,11 @@ import (
 //
 // What is NOT persisted, deliberately:
 //
-//   - The contract monitor (SetContract) and its violation history. A
-//     monitor's internal deque positions reference samples that may have
-//     left the window, and a half-restored monitor would yield verdicts
-//     that neither a fresh nor the original stream would have produced.
-//     Contracts are control-plane configuration; operators re-apply them
-//     after a restart.
+//   - The contract (SetContract) and its violation history: not persisted
+//     yet, so operators re-apply contracts after a restart. The check
+//     keeps no private state (it reads the prefix ring), so a contract is
+//     its bounds, its start and its counters; ROADMAP item 11 plans the
+//     WAL record and State fields that carry them.
 //   - The Inc extrema arrays. The retained rings fully determine them:
 //     Restore rescans the window with rebuildLocked, the same scan a
 //     settle makes after a long backlog, so the restored curves are
@@ -87,8 +86,8 @@ func (s *Stream) ExportState() State {
 // captured under. The restored stream's curves, span tables, and query
 // answers are value-identical to the original's at capture time, and it
 // evolves identically under further ingest (anchor positions included —
-// SinceAnchor survives). The contract monitor does not survive (see the
-// file comment); Version does, so version-tagged WAL records can be
+// SinceAnchor survives). The contract does not survive (see the file
+// comment); Version does, so version-tagged WAL records can be
 // replayed exactly once on top.
 func Restore(cfg Config, st State) (*Stream, error) {
 	r := cfg.Resolved()

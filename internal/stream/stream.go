@@ -107,12 +107,13 @@ func (c Config) withDefaults() Config {
 
 // Stream is one task's live characterization: a sliding window of
 // (timestamp, demand) samples with incrementally maintained workload curves
-// γᵘ/γˡ and span tables d(k)/D(k), an optional contract monitor, and the
+// γᵘ/γˡ and span tables d(k)/D(k), an optional admission contract, and the
 // Network-Calculus queries of the paper evaluated against the CURRENT
 // window. All methods are safe for concurrent use.
 //
 // The curves are settled on read. Ingest only appends to the two rings (and
-// feeds the contract monitor); the first read that needs curves — Workload,
+// checks each new sample's windows against the contract, read from the
+// prefix ring); the first read that needs curves — Workload,
 // Spans, Snapshot, Reextract, ExportState — catches the incremental extrema
 // up with everything ingested since the previous read, in one pass over
 // the rings. A backlog of a window or more has expired every recorded
@@ -155,7 +156,8 @@ type Stream struct {
 	pre     *Inc  // over prefix: offsets 1..maxK
 	spi     *Inc  // over times: offsets 1..maxK−1 (nil when maxK == 1)
 
-	monitor    *core.Monitor   // nil until a contract is set
+	contract   *core.Bounds    // nil until a contract is set
+	contractAt int64           // samples ingested before its install
 	firstViol  *core.Violation // first contract violation ever seen
 	violations int64           // total contract violations
 
@@ -210,15 +212,16 @@ type IngestResult struct {
 // Ingest appends a batch of samples: timestamps (non-decreasing, not before
 // anything already ingested) with their per-activation cycle demands
 // (non-negative). Validation is all-or-nothing: a bad batch changes no
-// state. Ingest is an O(batch) append to the two rings plus the contract
-// monitor; the curves catch up on the next read (see Stream).
+// state, and a valid one always applies. Ingest is an O(batch) append to
+// the two rings, plus O(batch·window) for a contract's check; the curves
+// catch up on the next read (see Stream).
 func (s *Stream) Ingest(ts, demands []int64) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := validateBatch(ts, demands, s.lastT); err != nil {
 		return IngestResult{}, err
 	}
-	return s.ingestLocked(ts, demands)
+	return s.ingestLocked(ts, demands), nil
 }
 
 // validateBatch checks one batch against the stream's shape, ordering and
@@ -266,19 +269,13 @@ func (s *Stream) Observe(t, demand int64) (IngestResult, error) {
 		t = s.lastT
 	}
 	s.obsT[0], s.obsD[0] = t, demand
-	return s.ingestLocked(s.obsT[:], s.obsD[:])
+	return s.ingestLocked(s.obsT[:], s.obsD[:]), nil
 }
 
 // ingestLocked applies a pre-validated batch: timestamps non-decreasing
 // and ≥ lastT, demands non-negative, len(ts) == len(demands) ≥ 1. It writes
-// the rings and feeds the monitor; pre/spi stay behind until a settle.
-func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
-	// Validation passed, so state WILL change. The deferred bump runs
-	// before the caller's unlock (LIFO), so it also covers error exits
-	// below: even a partially applied batch invalidates version-keyed
-	// caches.
-	defer s.bumpLocked()
-
+// the rings and checks the contract; pre/spi stay behind until a settle.
+func (s *Stream) ingestLocked(ts, demands []int64) IngestResult {
 	res := IngestResult{Accepted: len(ts)}
 	s.growLocked(s.total + int64(len(ts)))
 	// Only the newest window timestamps of the batch survive in the ring.
@@ -289,40 +286,36 @@ func (s *Stream) ingestLocked(ts, demands []int64) (IngestResult, error) {
 	w := int64(len(s.prefix))
 	i := s.total % w
 	p := s.prefix[i]
-	for _, d := range demands {
+	c := s.contract
+	for j, d := range demands {
 		p += d
 		if i++; i == w {
 			i = 0
 		}
 		s.prefix[i] = p
-	}
-	s.total += int64(len(ts))
-	s.lastT = ts[len(ts)-1]
-	if s.monitor != nil {
-		for _, d := range demands {
-			v, err := s.monitor.Push(d)
-			if err != nil {
-				return IngestResult{}, err
+		if c == nil {
+			continue
+		}
+		// Checked before the next write: a batch longer than the window
+		// overwrites the sums this sample's windows start from.
+		if v := c.Check(s.prefix, int(i), int(s.total+int64(j)+1-s.contractAt)); v != nil {
+			s.violations++
+			if s.firstViol == nil {
+				s.firstViol = v
 			}
-			if v != nil {
-				s.violations++
-				if s.firstViol == nil {
-					s.firstViol = v
-				}
-				if res.Violation == nil {
-					res.Violation = v
-				}
+			if res.Violation == nil {
+				res.Violation = v
 			}
 		}
 	}
-	res.Total = s.total
-	// The deferred bump has not run yet (LIFO at return), so the version
-	// this batch lands at is the current one plus its own bump. The WAL
-	// tags each logged batch with it for exactly-once replay.
-	res.Version = s.version.Load() + 1
-	res.Violations = s.violations
-	res.Drift = s.drift
-	return res, nil
+	s.total += int64(len(ts))
+	s.lastT = ts[len(ts)-1]
+	s.bumpLocked()
+	res.Total, res.Violations, res.Drift = s.total, s.violations, s.drift
+	// The WAL tags each logged batch with the version it lands at, for
+	// exactly-once replay.
+	res.Version = s.version.Load()
+	return res
 }
 
 // growLocked makes the rings hold the first n samples: short of a full
@@ -377,8 +370,7 @@ func (s *Stream) IngestBatches(batches []Batch, results []BatchResult) {
 			results[i] = BatchResult{Err: err}
 			continue
 		}
-		res, err := s.ingestLocked(b.Ts, b.Demands)
-		results[i] = BatchResult{Res: res, Err: err}
+		results[i] = BatchResult{Res: s.ingestLocked(b.Ts, b.Demands)}
 	}
 }
 
@@ -409,18 +401,21 @@ func (s *Stream) LastMutation() time.Time {
 }
 
 // SetContract installs (or replaces) the admission contract: every
-// subsequently ingested sample is checked by a core.Monitor against the
-// workload characterization w over windows up to `window` activations, and
-// violations are recorded (see Stats and IngestResult). The monitor starts
-// empty: only windows entirely after the call are checked.
+// subsequently ingested sample is checked against the workload
+// characterization w over windows of 1..window activations, read from the
+// stream's own prefix ring, and violations are recorded (see Stats and
+// IngestResult). The window is core.NewBounds(w, window, Config.Window):
+// 0 means the curves' common domain, at most the stream's window; above
+// the stream's window is an error. Only windows that start after the call
+// are checked.
 func (s *Stream) SetContract(w core.Workload, window int) error {
-	m, err := core.NewMonitor(w, window)
+	b, err := core.NewBounds(w, window, s.window)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.monitor = m
+	s.contract, s.contractAt = &b, s.total
 	s.bumpLocked()
 	return nil
 }
@@ -811,7 +806,7 @@ type Stats struct {
 	LastTimestamp  int64           // largest timestamp ingested
 	Reextractions  int64           // anchor re-extractions run, as of the last settle
 	Drift          int64           // anchor disagreements (expect 0), as of the last settle
-	ContractSet    bool            // a monitor is installed
+	ContractSet    bool            // a contract is installed
 	Violations     int64           // contract violations observed
 	FirstViolation *core.Violation // earliest contract violation, if any
 }
@@ -833,7 +828,7 @@ func (s *Stream) statsLocked() Stats {
 		LastTimestamp:  s.lastT,
 		Reextractions:  s.reextractions,
 		Drift:          s.drift,
-		ContractSet:    s.monitor != nil,
+		ContractSet:    s.contract != nil,
 		Violations:     s.violations,
 		FirstViolation: s.firstViol,
 	}
