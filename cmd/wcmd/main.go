@@ -9,7 +9,7 @@
 //
 // Structured logs go to stderr (-log-format json|text, -log-level); every
 // request carries a trace ID (X-Request-Id in and out) and requests slower
-// than -slow-request are logged at Warn. With -self-curves the server feeds
+// than 250 ms are logged at Warn. With -self-curves the server feeds
 // its own per-request cost into a built-in curve stream and serves its own
 // workload characterization at /debug/self.
 //
@@ -21,10 +21,11 @@
 // -trace-sample — into a 4 MiB store served at /debug/traces and
 // /debug/traces/{id}.
 //
-// The serving path is hardened against hostile traffic: connection-level
-// timeouts (30 s to read a request, 30 s to write a response, 2 min idle)
-// cut slow-loris clients, -request-timeout bounds each handler (contended reads past it
-// serve the last cached snapshot marked "degraded":true), and per-class
+// The serving path is hardened against hostile traffic: request bodies are
+// capped at 1 MiB, connection-level timeouts (30 s to read a request, 30 s
+// to write a response, 2 min idle) cut slow-loris clients,
+// -request-timeout bounds each handler (contended reads past it serve the
+// last cached snapshot marked "degraded":true), and per-class
 // in-flight caps (-max-inflight-ingest, -max-inflight-read) shed overload
 // with 429 + Retry-After instead of collapsing. Handler panics answer 500
 // and are counted in wcmd_panics_total. Builds with the faultinject tag
@@ -90,9 +91,10 @@ func (l *tenantFlagList) Set(v string) error {
 // Transport-level settings. ReadTimeout covers the whole request read
 // including the body — the slow-loris bound — while the shorter header
 // timeout cuts clients that never even finish their request line. The
-// read, write and idle timeouts and the checkpoint cadence are fixed: no
-// deployment set them to anything else, and tests set serveOpts and
-// server.Config directly.
+// read, write and idle timeouts, the checkpoint cadence, the body cap
+// (server.DefaultMaxBodyBytes) and the slow-request threshold
+// (server.DefaultSlowRequest) are fixed: no deployment set them to anything
+// else, and tests set serveOpts and server.Config directly.
 const (
 	defaultReadHeaderTimeout = 10 * time.Second
 	defaultReadTimeout       = 30 * time.Second
@@ -138,12 +140,9 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 	shards := fs.Int("shards", server.DefaultShards, "stream registry shards")
 	window := fs.Int("window", stream.DefaultWindow, "sliding window length in samples")
 	maxK := fs.Int("maxk", stream.DefaultMaxK, "largest curve argument k maintained")
-	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes")
 	pprof := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	logFormat := fs.String("log-format", "text", `structured log format: "json" or "text"`)
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
-	slowReq := fs.Duration("slow-request", server.DefaultSlowRequest,
-		"log requests slower than this at Warn (negative disables)")
 	selfCurves := fs.Bool("self-curves", false,
 		"characterize the server's own request costs and serve them at /debug/self")
 	requestTimeout := fs.Duration("request-timeout", defaultRequestTimeout,
@@ -201,11 +200,11 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 	}
 	cfg := server.Config{
 		Shards:            *shards,
-		MaxBodyBytes:      *maxBody,
+		MaxBodyBytes:      server.DefaultMaxBodyBytes,
 		EnablePprof:       *pprof,
 		Stream:            stream.Config{Window: *window, MaxK: *maxK},
 		Logger:            logger,
-		SlowRequest:       *slowReq,
+		SlowRequest:       server.DefaultSlowRequest,
 		SelfCurves:        *selfCurves,
 		RequestTimeout:    *requestTimeout,
 		MaxInflightIngest: *maxInflightIngest,

@@ -24,15 +24,15 @@ import (
 func TestParseFlags(t *testing.T) {
 	cfg, opts, err := parseFlags([]string{
 		"-addr", "127.0.0.1:9999", "-shards", "4", "-window", "64",
-		"-maxk", "8", "-max-body", "4096", "-pprof",
+		"-maxk", "8", "-pprof",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.addr != "127.0.0.1:9999" || cfg.Shards != 4 || cfg.MaxBodyBytes != 4096 {
+	if opts.addr != "127.0.0.1:9999" || cfg.Shards != 4 || cfg.MaxBodyBytes != server.DefaultMaxBodyBytes {
 		t.Fatalf("cfg = %+v, opts = %+v", cfg, opts)
 	}
-	if cfg.Stream.Window != 64 || cfg.Stream.MaxK != 8 || cfg.Stream.ReextractEvery != 0 {
+	if cfg.Stream.Window != 64 || cfg.Stream.MaxK != 8 {
 		t.Fatalf("stream cfg = %+v", cfg.Stream)
 	}
 	if !cfg.EnablePprof {
@@ -80,6 +80,7 @@ func TestParseFlags(t *testing.T) {
 		{"-reextract", "-1"},
 		{"-read-timeout", "5s"}, {"-write-timeout", "6s"}, {"-idle-timeout", "7s"},
 		{"-snapshot-interval", "30s"},
+		{"-max-body", "4096"}, {"-slow-request", "50ms"},
 	} {
 		if _, _, err := parseFlags(gone); err == nil {
 			t.Fatalf("removed flag %s accepted", gone[0])
@@ -105,12 +106,12 @@ func TestParseFlagsResilience(t *testing.T) {
 func TestParseFlagsObservability(t *testing.T) {
 	cfg, _, err := parseFlags([]string{
 		"-log-format", "json", "-log-level", "debug",
-		"-slow-request", "50ms", "-self-curves",
+		"-self-curves",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Logger == nil || !cfg.SelfCurves || cfg.SlowRequest != 50*time.Millisecond {
+	if cfg.Logger == nil || !cfg.SelfCurves || cfg.SlowRequest != server.DefaultSlowRequest {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if cfg.TraceSample != server.DefaultTraceSample || cfg.TraceStoreBytes != 0 {

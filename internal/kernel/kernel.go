@@ -135,8 +135,8 @@ func Extract(data []int64, maxK int, opt Options) (up, lo []int64, err error) {
 }
 
 // ExtractInto is Extract writing into caller-provided slices, for hot loops
-// that re-extract periodically and want zero steady-state allocations (the
-// re-extraction anchor of internal/stream). up and lo must each hold at
+// that re-extract periodically and want zero steady-state allocations (an
+// internal/stream audit). up and lo must each hold at
 // least maxK+1 elements; only indices 0..maxK are written.
 func ExtractInto(data []int64, maxK int, opt Options, up, lo []int64) error {
 	if err := validate(len(data), maxK); err != nil {

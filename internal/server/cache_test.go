@@ -51,7 +51,7 @@ func getRaw(t *testing.T, url string) (int, []byte) {
 // /verdict, and the 409 error answers of a 1-sample stream.
 func TestCachedQueriesBitIdenticalToUncached(t *testing.T) {
 	const window, maxK = 48, 12
-	cfg := Config{Stream: stream.Config{Window: window, MaxK: maxK, ReextractEvery: 17}}
+	cfg := Config{Stream: stream.Config{Window: window, MaxK: maxK}}
 	cached := newTestServer(t, cfg)
 	const checkBody = `{"freq_hz":1000000,"latency_ns":10,"buffer":3}`
 

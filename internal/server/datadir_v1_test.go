@@ -36,7 +36,7 @@ const datadirV1 = "testdata/datadir-v1"
 // datadirV1Config is the configuration the fixture was written under; the
 // shard count and stream geometry are recorded in its meta.json.
 func datadirV1Config() Config {
-	return Config{Shards: 2, Stream: stream.Config{Window: 32, MaxK: 8, ReextractEvery: 5}}
+	return Config{Shards: 2, Stream: stream.Config{Window: 32, MaxK: 8}}
 }
 
 // fixtureAnswer is one request against the recovered server and the exact

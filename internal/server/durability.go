@@ -184,15 +184,16 @@ func (s *Server) commitUnit(idx uint32, tr *trace.Active, parent trace.SpanRef, 
 // errServerClosed answers a durable ingest that arrives after Close.
 var errServerClosed = errors.New("server closed: ingest not accepted")
 
-// Close shuts durability down. It waits for every in-flight ingest tail
-// and turns later ones away with 500, so the final checkpoint never
-// captures a batch whose ack is still undecided; then it stops the
-// checkpoint loop, checkpoints every stream, and closes the WAL with its
-// clean-shutdown marker, so a restart replays (nearly) nothing. A server
-// without a WAL has nothing to close. Safe to call more than once. The
-// HTTP layer should stop accepting requests first (http.Server.Shutdown);
-// wcmd does.
+// Close stops the auditor and shuts durability down. It waits for every
+// in-flight ingest tail and turns later ones away with 500, so the final
+// checkpoint never captures a batch whose ack is still undecided; then it
+// stops the checkpoint loop, checkpoints every stream, and closes the WAL
+// with its clean-shutdown marker, so a restart replays (nearly) nothing.
+// A server without a WAL only stops its auditor. Safe to call more than
+// once. The HTTP layer should stop accepting requests first
+// (http.Server.Shutdown); wcmd does.
 func (s *Server) Close() {
+	s.stopAuditor()
 	if s.wal == nil {
 		return
 	}

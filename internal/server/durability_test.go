@@ -56,7 +56,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{
 				Shards: 4,
-				Stream: stream.Config{Window: 64, MaxK: 16, ReextractEvery: 13},
+				Stream: stream.Config{Window: 64, MaxK: 16},
 			}
 			cfg.WAL = openTestWAL(t, dir, cfg, tc.pol)
 			srv, err := New(cfg)

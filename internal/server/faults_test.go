@@ -555,7 +555,7 @@ func TestLockHoldFault(t *testing.T) {
 	// Stale the cache first (the lockhold fires before the ingest's own
 	// version bump, so a fresh cache would be served normally — which is
 	// itself correct — and never exercise the contended-lock path).
-	if _, err := e.st.Reextract(); err != nil {
+	if _, err := e.st.Ingest([]int64{150}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -47,7 +47,7 @@ func rawReq(t *testing.T, method, url, contentType string, body []byte) (int, []
 // accepted sample is visible in its stream's total, and the ingest metrics
 // agree with the responses the clients saw.
 func TestAsyncConcurrentIngest(t *testing.T) {
-	sc := stream.Config{Window: 64, MaxK: 8, ReextractEvery: 17}
+	sc := stream.Config{Window: 64, MaxK: 8}
 	srv, err := New(Config{Shards: 4, Stream: sc})
 	if err != nil {
 		t.Fatal(err)

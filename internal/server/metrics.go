@@ -263,8 +263,8 @@ type gauges struct {
 type streamGauges struct {
 	Count           int64 `json:"count"`
 	SamplesInWindow int64 `json:"samples_in_window"`
-	Reextractions   int64 `json:"reextractions"`
-	Drift           int64 `json:"drift"`
+	AuditChecked    int64 `json:"audit_checked"`
+	AuditMismatch   int64 `json:"audit_mismatch"`
 	Violations      int64 `json:"violations"`
 }
 
@@ -318,8 +318,8 @@ func (s *Server) collect() gauges {
 		stats := e.st.Stats()
 		g.streams.Count++
 		g.streams.SamplesInWindow += int64(stats.InWindow)
-		g.streams.Reextractions += stats.Reextractions
-		g.streams.Drift += stats.Drift
+		g.streams.AuditChecked += stats.Audits
+		g.streams.AuditMismatch += stats.Mismatches
 		g.streams.Violations += stats.Violations
 	}
 	g.limits = map[string]classLimitJSON{
@@ -467,10 +467,10 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	emit("Live streams.", "gauge", "wcmd_streams", g.streams.Count)
 	emit("Samples currently inside sliding windows, summed over streams.", "gauge",
 		"wcmd_samples_in_window", g.streams.SamplesInWindow)
-	emit("Full batch re-extractions run as correctness anchors.", "counter",
-		"wcmd_reextractions_total", g.streams.Reextractions)
-	emit("Anchor re-extractions that disagreed with the incremental state (expect 0).",
-		"counter", "wcmd_reextraction_drift_total", g.streams.Drift)
+	emit("Auditor checks of a stream's curves against a batch re-extraction of its window.",
+		"counter", "wcmd_audit_checked_total", g.streams.AuditChecked)
+	emit("Audits that found the incremental curves disagreeing and rebuilt them (expect 0).",
+		"counter", "wcmd_audit_mismatch_total", g.streams.AuditMismatch)
 	emit("Contract violations observed, summed over streams.", "counter",
 		"wcmd_contract_violations_total", g.streams.Violations)
 	emit("Handler panics caught by the recovery barrier.", "counter",

@@ -25,7 +25,7 @@ import (
 func TestObservabilityUnderConcurrency(t *testing.T) {
 	const nWriters = 4
 	s, err := New(Config{
-		Stream:     stream.Config{Window: 64, MaxK: 8, ReextractEvery: 31},
+		Stream:     stream.Config{Window: 64, MaxK: 8},
 		SelfCurves: true,
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func TestConcurrentBinaryIngestCachedReads(t *testing.T) {
 		batchLen = 9
 		nReaders = 4
 	)
-	s, err := New(Config{Stream: stream.Config{Window: window, MaxK: maxK, ReextractEvery: 23}})
+	s, err := New(Config{Stream: stream.Config{Window: window, MaxK: maxK}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,7 +342,7 @@ func render(ctx context.Context, e *entry, q readQuery, reference bool) (*cached
 			Total:          stats.Total,
 			Violations:     stats.Violations,
 			FirstViolation: violationFrom(stats.FirstViolation),
-			Drift:          stats.Drift,
+			Drift:          stats.Mismatches,
 		})
 		resp.version = stats.Version
 		return resp, nil

@@ -26,7 +26,7 @@ import (
 // answer every query byte-identically — curves, check, minfreq, verdict,
 // and the 409 answers of a 1-sample stream.
 func TestUncachedServerBitIdentical(t *testing.T) {
-	scfg := stream.Config{Window: 48, MaxK: 12, ReextractEvery: 17}
+	scfg := stream.Config{Window: 48, MaxK: 12}
 	cached := newTestServer(t, Config{Stream: scfg})
 	uncached := newTestServer(t, Config{Stream: scfg, DisableQueryCache: true})
 	const checkBody = `{"freq_hz":1000000,"latency_ns":10,"buffer":3}`

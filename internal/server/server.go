@@ -217,6 +217,7 @@ type Server struct {
 	limRead   *inflightLimiter // nil = unlimited
 	faults    map[string]Fault // nil = no fault injection
 	qos       *qosRegistry     // never nil; holds at least the default tenant
+	audit     auditor          // started by New, stopped by Close (see audit.go)
 
 	// Durability (nil/zero when Config.WAL == nil; see durability.go).
 	wal        *wal.Manager
@@ -348,6 +349,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.routes()
+	s.startAuditor()
 	return s, nil
 }
 

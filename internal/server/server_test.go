@@ -280,7 +280,7 @@ func TestConcurrentIngestDifferential(t *testing.T) {
 			)
 			ts := newTestServer(t, Config{
 				Shards: shards,
-				Stream: stream.Config{Window: window, MaxK: maxK, ReextractEvery: 13},
+				Stream: stream.Config{Window: window, MaxK: maxK},
 			})
 
 			// Per-stream reference traces, generated up front.
@@ -372,7 +372,7 @@ func TestConcurrentIngestDifferential(t *testing.T) {
 				}
 			}
 
-			// Metrics must reflect the ingested volume and zero drift.
+			// Metrics must reflect the ingested volume and no audit mismatch.
 			resp, err := http.Get(ts.URL + "/metrics")
 			if err != nil {
 				t.Fatal(err)
@@ -384,7 +384,7 @@ func TestConcurrentIngestDifferential(t *testing.T) {
 			for _, want := range []string{
 				wantSamples,
 				fmt.Sprintf("wcmd_streams %d", nStreams),
-				"wcmd_reextraction_drift_total 0",
+				"wcmd_audit_mismatch_total 0",
 				`wcmd_requests_total{endpoint="ingest"}`,
 			} {
 				if !strings.Contains(text, want) {

@@ -369,7 +369,7 @@ func TestTraceDegradedKept(t *testing.T) {
 	if code, _, _ := rawGet(t, ts.URL+"/v1/streams/dg/curves"); code != http.StatusOK {
 		t.Fatal("seed curves")
 	}
-	if _, err := e.st.Reextract(); err != nil {
+	if _, err := e.st.Ingest([]int64{150}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -710,6 +710,7 @@ func TestTraceResolveSettleAttrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.stopAuditor() // an audit settles too; the reads below must find the backlogs
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

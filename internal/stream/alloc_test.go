@@ -9,11 +9,11 @@ import (
 	"wcm/internal/kernel"
 )
 
-// TestIngestMultiprocAllocs pins the warmed ingest-and-settle path (the
-// settle runs the anchor every 32 samples here) at ~0 allocations per batch
-// with GOMAXPROCS=4 — the configuration where a regression hid
-// for two releases: reextractLocked used to pass kernel.Options{}, whose
-// worker autosizing spawned goroutines at every anchor once GOMAXPROCS ≥ 2,
+// TestIngestMultiprocAllocs pins the warmed ingest-and-settle path, with an
+// audit every 32 samples, at ~0 allocations per batch with GOMAXPROCS=4 —
+// the configuration where a regression hid for two releases: the audit
+// used to pass kernel.Options{}, whose worker autosizing spawned
+// goroutines at every audit once GOMAXPROCS ≥ 2,
 // and the runtime's malg/allocm allocations showed up as 189 allocs/op in
 // benchjson while the (GOMAXPROCS=1) AllocsPerRun test stayed green.
 // testing.AllocsPerRun cannot catch this class of bug — it forces
@@ -22,13 +22,14 @@ import (
 func TestIngestMultiprocAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep GC noise out of Mallocs
-	s, err := New(Config{Window: 64, MaxK: 16, ReextractEvery: 32})
+	s, err := New(Config{Window: 64, MaxK: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := make([]int64, 4)
 	ds := make([]int64, 4)
 	var tick int64
+	var calls int
 	ingest := func() {
 		for j := range ts {
 			tick += 3
@@ -39,13 +40,15 @@ func TestIngestMultiprocAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.mu.Lock()
-		_, _, err := s.settleLocked()
+		s.settleLocked()
 		s.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
+		if calls++; calls%8 == 0 {
+			if _, err := s.Reextract(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for i := 0; i < 200; i++ { // warm: fill window, cross several anchors
+	for i := 0; i < 200; i++ { // warm: fill window, cross several audits
 		ingest()
 	}
 	runtime.GC()
@@ -61,12 +64,12 @@ func TestIngestMultiprocAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocs pins a settling read of a warmed stream — catch-up,
-// anchor every few reads, and the four tables — at one allocation per
+// TestSnapshotAllocs pins a settling read of a warmed stream — catch-up
+// and the four tables — at one allocation per
 // table it returns (γᵘ, γˡ, d, D): the temporaries the tables are built in
 // come from the shared scratch free list.
 func TestSnapshotAllocs(t *testing.T) {
-	s, err := New(Config{Window: 256, MaxK: 64, ReextractEvery: 64})
+	s, err := New(Config{Window: 256, MaxK: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestSnapshotAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 100; i++ { // warm: fill the window, cross several anchors
+	for i := 0; i < 100; i++ { // warm: fill the window
 		read()
 	}
 	if got := testing.AllocsPerRun(200, read); got > 4 {
@@ -99,7 +102,7 @@ func TestSnapshotAllocs(t *testing.T) {
 // window holds — the timestamp and prefix-sum rings — until its first read,
 // and the trackers' extrema for the offsets that window covers after. A
 // full stream's bounds leave no room for a second copy of the window or for
-// a stream's own set of anchor scratch (~19 KiB): those live in the shared
+// a stream's own set of audit scratch (~19 KiB): those live in the shared
 // free list. A one-sample stream's bounds leave no room for a full-window
 // ring or a full set of extrema: both grow with the samples.
 func TestStreamFootprint(t *testing.T) {
@@ -175,7 +178,7 @@ func TestConcurrentReadsShareScratch(t *testing.T) {
 		go func(window int) {
 			defer wg.Done()
 			const maxK = 8
-			s, err := New(Config{Window: window, MaxK: maxK, ReextractEvery: 5})
+			s, err := New(Config{Window: window, MaxK: maxK})
 			if err != nil {
 				t.Error(err)
 				return
@@ -187,6 +190,12 @@ func TestConcurrentReadsShareScratch(t *testing.T) {
 				if _, err := s.Ingest(ts[i:], ds[i:]); err != nil {
 					t.Error(err)
 					return
+				}
+				if i%5 == 0 { // audits share the scratch too
+					if _, err := s.Reextract(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				w, err := s.Workload()
 				if err != nil {
@@ -211,8 +220,8 @@ func TestConcurrentReadsShareScratch(t *testing.T) {
 					}
 				}
 			}
-			if st := s.Stats(); st.Drift != 0 {
-				t.Errorf("window %d: drift %d", window, st.Drift)
+			if st := s.Stats(); st.Mismatches != 0 {
+				t.Errorf("window %d: %d audit mismatches", window, st.Mismatches)
 			}
 		}(16 << g)
 	}

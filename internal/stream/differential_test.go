@@ -81,10 +81,10 @@ func TestDifferentialIncrementalVsKernel(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		window := 2 + rng.Intn(50)
 		maxK := 1 + rng.Intn(window)
-		reevery := []int{-1, 0, 1 + rng.Intn(2*window)}[rng.Intn(3)]
+		auditEvery := []int{0, 1, 1 + rng.Intn(8)}[rng.Intn(3)] // batches per audit; 0 = none
 		total := 1 + rng.Intn(300)
 
-		s, err := New(Config{Window: window, MaxK: maxK, ReextractEvery: reevery})
+		s, err := New(Config{Window: window, MaxK: maxK})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestDifferentialIncrementalVsKernel(t *testing.T) {
 			d[i] = int64(rng.Intn(1000))
 		}
 
-		for i := 0; i < total; {
+		for i, batches := 0, 1; i < total; batches++ {
 			b := 1 + rng.Intn(17)
 			if i+b > total {
 				b = total - i
@@ -108,19 +108,24 @@ func TestDifferentialIncrementalVsKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 			i += b
+			if auditEvery > 0 && batches%auditEvery == 0 {
+				if _, err := s.Reextract(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			checkAgainstBatch(t, s, ts[:i], d[:i], window, maxK)
 		}
-		if st := s.Stats(); st.Drift != 0 {
-			t.Fatalf("trial %d: anchor drift %d (re-extractions %d)", trial, st.Drift, st.Reextractions)
+		if st := s.Stats(); st.Mismatches != 0 {
+			t.Fatalf("trial %d: %d audit mismatches (%d audits)", trial, st.Mismatches, st.Audits)
 		}
 	}
 }
 
-// TestDifferentialForcedAnchors interleaves explicit Reextract calls with
-// ingestion: the anchor must never disagree, whatever its cadence.
+// TestDifferentialForcedAnchors interleaves explicit Reextract calls (audits)
+// with ingestion: an audit must never disagree, whatever its cadence.
 func TestDifferentialForcedAnchors(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s, err := New(Config{Window: 16, MaxK: 8, ReextractEvery: -1})
+	s, err := New(Config{Window: 16, MaxK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +139,8 @@ func TestDifferentialForcedAnchors(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if drift, err := s.Reextract(); err != nil || drift != 0 {
-				t.Fatalf("step %d: drift=%d, %v", i, drift, err)
+			if mismatches, err := s.Reextract(); err != nil || mismatches != 0 {
+				t.Fatalf("step %d: mismatches=%d, %v", i, mismatches, err)
 			}
 		}
 		checkAgainstBatch(t, s, ts, d, 16, 8)
@@ -175,37 +180,51 @@ func BenchmarkIngest(b *testing.B) {
 
 // BenchmarkIngestSettle times the ingest-then-read cycle of a live stream:
 // a 64-sample batch into a full Window 1024 / MaxK 256 stream, then a
-// Snapshot, which settles the batch into the extrema (the scan path).
+// Snapshot, which settles the batch into the extrema (the scan path). The
+// rows differ in the demands: pseudo-random ones, whose extrema rarely
+// expire; a rising trend, whose every γˡ extremum expires each batch; and
+// a decreasing sawtooth (teeth of three windows), whose γᵘ extrema do.
 func BenchmarkIngestSettle(b *testing.B) {
 	const window, batch = 1024, 64
 	rng := rand.New(rand.NewSource(1))
-	s, err := New(Config{Window: window, MaxK: 256})
-	if err != nil {
-		b.Fatal(err)
+	for _, row := range []struct {
+		name   string
+		demand func(i int64) int64
+	}{
+		{"random", func(int64) int64 { return int64(rng.Intn(10_000)) }},
+		{"trend", func(i int64) int64 { return 1000 + i }},
+		{"sawtooth", func(i int64) int64 { return 10_000 - 3*(i%(3*window)) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			s, err := New(Config{Window: window, MaxK: 256})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ts := make([]int64, window)
+			d := make([]int64, window)
+			var now, n int64
+			next := func(m int) {
+				for i := 0; i < m; i++ {
+					now += int64(rng.Intn(1000))
+					ts[i], d[i] = now, row.demand(n)
+					n++
+				}
+				if _, err := s.Ingest(ts[:m], d[:m]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			next(window)
+			if _, err := s.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next(batch)
+				if _, err := s.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(batch), "samples/op")
+		})
 	}
-	ts := make([]int64, window)
-	d := make([]int64, window)
-	var now int64
-	next := func(n int) {
-		for i := 0; i < n; i++ {
-			now += int64(rng.Intn(1000))
-			ts[i] = now
-			d[i] = int64(rng.Intn(10_000))
-		}
-		if _, err := s.Ingest(ts[:n], d[:n]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	next(window)
-	if _, err := s.Snapshot(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next(batch)
-		if _, err := s.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(batch), "samples/op")
 }

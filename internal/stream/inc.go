@@ -36,9 +36,10 @@
 // contents: both compute exact int64 differences of the same values. The
 // prefix-sum base cancels in every difference, and so does int64
 // wrap-around: an endless stream's running sum may overflow, but a window
-// difference that fits in int64 is exact modulo 2⁶⁴. Stream re-runs the
-// batch kernel periodically as a correctness anchor and counts any
-// disagreement in a drift counter (see Stream).
+// difference that fits in int64 is exact modulo 2⁶⁴. An audit
+// (Stream.Reextract, or a caller's sampled auditor through Stream.Audit)
+// re-runs the batch kernel over the window, counts any disagreement as a
+// mismatch and rebuilds from the window (see Stream).
 package stream
 
 import (
@@ -178,6 +179,12 @@ func (x *Inc) growExtrema(n int) {
 		maxIdx[i], minIdx[i] = -1, -1
 	}
 	x.maxVal, x.maxIdx, x.minVal, x.minIdx = maxVal, maxIdx, minVal, minIdx
+}
+
+// covers reports whether the extrema already hold every offset a catch-up
+// to the first total data points scans, so it would allocate none.
+func (x *Inc) covers(total int64) bool {
+	return total > 1 && int64(len(x.maxVal)) >= min(total-1, int64(x.maxOff))
 }
 
 // scanRange advances the running extrema (mx@mxj, mn@mnj) over the

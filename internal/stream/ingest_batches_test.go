@@ -39,12 +39,11 @@ func buildBatches(rng *rand.Rand, nBatches int) []Batch {
 func streamStateEqual(t *testing.T, tag string, a, b *Stream) {
 	t.Helper()
 	if a.total != b.total || a.lastT != b.lastT || a.settled != b.settled ||
-		a.sinceAnchor != b.sinceAnchor || a.reextractions != b.reextractions ||
-		a.drift != b.drift || a.violations != b.violations {
-		t.Fatalf("%s: scalar state diverged:\n seq (total=%d lastT=%d settled=%d anchor=%d reex=%d drift=%d viol=%d)\n coa (total=%d lastT=%d settled=%d anchor=%d reex=%d drift=%d viol=%d)",
+		a.audits != b.audits || a.mismatches != b.mismatches || a.violations != b.violations {
+		t.Fatalf("%s: scalar state diverged:\n seq (total=%d lastT=%d settled=%d audits=%d mismatches=%d viol=%d)\n coa (total=%d lastT=%d settled=%d audits=%d mismatches=%d viol=%d)",
 			tag,
-			a.total, a.lastT, a.settled, a.sinceAnchor, a.reextractions, a.drift, a.violations,
-			b.total, b.lastT, b.settled, b.sinceAnchor, b.reextractions, b.drift, b.violations)
+			a.total, a.lastT, a.settled, a.audits, a.mismatches, a.violations,
+			b.total, b.lastT, b.settled, b.audits, b.mismatches, b.violations)
 	}
 	if a.version.Load() != b.version.Load() {
 		t.Fatalf("%s: version diverged: seq %d, coalesced %d", tag, a.version.Load(), b.version.Load())
@@ -86,10 +85,10 @@ func incStateEqual(a, b *Inc) bool {
 func TestIngestBatchesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	cfgs := []Config{
-		{Window: 64, MaxK: 16, ReextractEvery: 32},
-		{Window: 64, MaxK: 16, ReextractEvery: 7}, // anchors mid-batch, constantly
-		{Window: 32, MaxK: 8, ReextractEvery: -1}, // no anchors
-		{Window: 16, MaxK: 1},                     // spi == nil
+		{Window: 64, MaxK: 16},
+		{Window: 48, MaxK: 12},
+		{Window: 32, MaxK: 8},
+		{Window: 16, MaxK: 1}, // spi == nil
 	}
 	for ci, cfg := range cfgs {
 		for trial := 0; trial < 20; trial++ {
@@ -176,7 +175,7 @@ func TestIngestBatchesDifferential(t *testing.T) {
 // exactly like Ingest even for edge batches (empty, mismatched lengths).
 func TestIngestBatchesSingleEqualsIngest(t *testing.T) {
 	mk := func() *Stream {
-		s, err := New(Config{Window: 16, MaxK: 4, ReextractEvery: 8})
+		s, err := New(Config{Window: 16, MaxK: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,16 +17,22 @@ import (
 //     keeps no private state (it reads the prefix ring), so a contract is
 //     its bounds, its start and its counters; ROADMAP item 11 plans the
 //     WAL record and State fields that carry them.
-//   - The Inc extrema arrays. The retained rings fully determine them:
-//     Restore rescans the window with rebuildLocked, the same scan a
-//     settle makes after a long backlog, so the restored curves are
-//     value-identical without trusting redundant (and corruptible)
-//     extrema bytes.
+//   - The Inc extrema arrays. The retained rings fully determine them: a
+//     restored stream is left unsettled, and its first read rescans the
+//     window, as a settle after a backlog of a window or more does, so the
+//     restored curves are value-identical without trusting redundant (and
+//     corruptible) extrema bytes. Nor does an export settle: a checkpoint
+//     allocates no extrema.
+//   - The audit counters. They count this process's audits (and reset
+//     with it, like every other counter the service exports).
 //   - The absolute prefix-sum base. Curves are differences of prefix sums,
 //     which are shift-invariant, so Restore starts the window's sums at 0.
 
 // stateMagic versions the binary State encoding; bump it when the layout
-// changes so a stale snapshot is rejected instead of misparsed.
+// changes so a stale snapshot is rejected instead of misparsed. Four of
+// its fixed fields are retired (the anchor cadence and counters of earlier
+// builds): they are written as 0 and ignored on read, so snapshots written
+// before their retirement still decode.
 const stateMagic = "WCMSTRM1"
 
 // State is a portable snapshot of one Stream's durable fields, sufficient
@@ -38,17 +44,12 @@ type State struct {
 	// refuses a State whose config disagrees with the caller's: silently
 	// reinterpreting a ring recorded at one window length under another
 	// would corrupt every curve.
-	Window         int
-	MaxK           int
-	ReextractEvery int
+	Window int
+	MaxK   int
 
 	Version int64 // mutation counter at capture
 	Total   int64 // samples ever ingested
 	LastT   int64 // largest timestamp seen
-
-	SinceAnchor   int   // samples settled since the last re-extraction
-	Reextractions int64 // anchor runs performed
-	Drift         int64 // anchor disagreements
 
 	// The retained window in ingest order (oldest first), both columns the
 	// same length n = min(Total, Window).
@@ -57,43 +58,36 @@ type State struct {
 }
 
 // ExportState captures the stream's durable state under one lock
-// acquisition. It settles first, so the anchor counters (SinceAnchor
-// included) are exact. The returned slices are fresh copies — the caller
+// acquisition: a copy of the rings and counters. It does not settle, so it
+// allocates no extrema. The returned slices are fresh copies — the caller
 // may hold them across later ingests.
 func (s *Stream) ExportState() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A settle error is the anchor kernel rejecting its own sizes, which
-	// cannot happen; the rings exported below are authoritative anyway.
-	s.settleLocked() //nolint:errcheck
 	return State{
-		Window:         s.window,
-		MaxK:           s.maxK,
-		ReextractEvery: s.reint,
-		Version:        s.version.Load(),
-		Total:          s.total,
-		LastT:          s.lastT,
-		SinceAnchor:    s.sinceAnchor,
-		Reextractions:  s.reextractions,
-		Drift:          s.drift,
-		Demands:        s.demandsLocked(nil),
-		Times:          appendRing(nil, s.times, s.total-int64(s.inWindowLocked()), s.total),
+		Window:  s.window,
+		MaxK:    s.maxK,
+		Version: s.version.Load(),
+		Total:   s.total,
+		LastT:   s.lastT,
+		Demands: s.demandsLocked(nil),
+		Times:   appendRing(nil, s.times, s.total-int64(s.inWindowLocked()), s.total),
 	}
 }
 
 // Restore builds a stream from a previously exported State. cfg must
-// resolve to the same window/maxK/reextract parameters the State was
-// captured under. The restored stream's curves, span tables, and query
-// answers are value-identical to the original's at capture time, and it
-// evolves identically under further ingest (anchor positions included —
-// SinceAnchor survives). The contract does not survive (see the file
-// comment); Version does, so version-tagged WAL records can be
+// resolve to the same window/maxK parameters the State was captured under.
+// The restored stream's curves, span tables, and query answers are
+// value-identical to the original's at capture time, and it evolves
+// identically under further ingest. It is left unsettled: its first read
+// rebuilds the extrema from the window. The contract does not survive (see
+// the file comment); Version does, so version-tagged WAL records can be
 // replayed exactly once on top.
 func Restore(cfg Config, st State) (*Stream, error) {
 	r := cfg.Resolved()
-	if r.Window != st.Window || r.MaxK != st.MaxK || r.ReextractEvery != st.ReextractEvery {
-		return nil, fmt.Errorf("%w: config window=%d maxK=%d reextract=%d, state window=%d maxK=%d reextract=%d",
-			ErrBadConfig, r.Window, r.MaxK, r.ReextractEvery, st.Window, st.MaxK, st.ReextractEvery)
+	if r.Window != st.Window || r.MaxK != st.MaxK {
+		return nil, fmt.Errorf("%w: config window=%d maxK=%d, state window=%d maxK=%d",
+			ErrBadConfig, r.Window, r.MaxK, st.Window, st.MaxK)
 	}
 	if err := st.validate(); err != nil {
 		return nil, err
@@ -113,10 +107,6 @@ func Restore(cfg Config, st State) (*Stream, error) {
 	}
 	s.total = st.Total
 	s.lastT = st.LastT
-	s.rebuildLocked()
-	s.sinceAnchor = st.SinceAnchor
-	s.reextractions = st.Reextractions
-	s.drift = st.Drift
 	s.version.Store(st.Version)
 	return s, nil
 }
@@ -129,15 +119,15 @@ func (st State) validate() error {
 	if len(st.Times) != len(st.Demands) {
 		return fmt.Errorf("stream: state has %d demands, %d times", len(st.Demands), len(st.Times))
 	}
-	if st.Total < 0 || st.Version < 0 || st.SinceAnchor < 0 || st.Reextractions < 0 || st.Drift < 0 {
+	if st.Total < 0 || st.Version < 0 {
 		return fmt.Errorf("stream: state with negative counters")
 	}
 	// A State is always captured from a live stream, whose config is in
 	// resolved form: these bounds are what New enforces plus the resolved
-	// invariants (MaxK capped to Window, ReextractEvery never 0).
-	if st.Window < 2 || st.MaxK < 1 || st.MaxK > st.Window || st.ReextractEvery == 0 {
-		return fmt.Errorf("stream: state config window=%d maxK=%d reextract=%d is not in resolved form",
-			st.Window, st.MaxK, st.ReextractEvery)
+	// invariant MaxK ≤ Window.
+	if st.Window < 2 || st.MaxK < 1 || st.MaxK > st.Window {
+		return fmt.Errorf("stream: state config window=%d maxK=%d is not in resolved form",
+			st.Window, st.MaxK)
 	}
 	want := st.Total
 	if want > int64(st.Window) {
@@ -166,15 +156,15 @@ func (st State) validate() error {
 
 // AppendBinary appends the binary encoding of the state to dst and returns
 // the extended slice. The layout (all little-endian) is the stateMagic
-// followed by the fixed fields, the retained count, and the two columns —
-// integrity (CRC) is the container's job (internal/wal frames and snapshot
-// files both checksum their payloads).
+// followed by the fixed fields (retired ones 0), the retained count, and
+// the two columns — integrity (CRC) is the container's job (internal/wal
+// frames and snapshot files both checksum their payloads).
 func (st State) AppendBinary(dst []byte) []byte {
 	dst = append(dst, stateMagic...)
 	for _, v := range []int64{
-		int64(st.Window), int64(st.MaxK), int64(st.ReextractEvery),
+		int64(st.Window), int64(st.MaxK), 0,
 		st.Version, st.Total, st.LastT,
-		int64(st.SinceAnchor), st.Reextractions, st.Drift,
+		0, 0, 0,
 		int64(len(st.Demands)),
 	} {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
@@ -209,11 +199,7 @@ func DecodeState(b []byte) (State, error) {
 		f[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	b = b[8*stateFixedFields:]
-	st := State{
-		Window: int(f[0]), MaxK: int(f[1]), ReextractEvery: int(f[2]),
-		Version: f[3], Total: f[4], LastT: f[5],
-		SinceAnchor: int(f[6]), Reextractions: f[7], Drift: f[8],
-	}
+	st := State{Window: int(f[0]), MaxK: int(f[1]), Version: f[3], Total: f[4], LastT: f[5]}
 	n := f[9]
 	if n < 0 || n > int64(st.Window) || st.Window < 2 || st.Window > 1<<31 {
 		return State{}, fmt.Errorf("stream: state count %d with window %d", n, st.Window)

@@ -85,15 +85,14 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 
 // TestRestoredStreamEvolvesIdentically is the property durability actually
 // relies on: export mid-history, restore, then feed both streams the same
-// tail — every answer (including anchor re-extractions, whose cadence
-// SinceAnchor preserves) must stay identical.
+// tail — every answer, and every audit, must stay identical.
 func TestRestoredStreamEvolvesIdentically(t *testing.T) {
-	cfg := Config{Window: 32, MaxK: 8, ReextractEvery: 10}
+	cfg := Config{Window: 32, MaxK: 8}
 	orig, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedN(t, orig, 0, 47) // mid-anchor-cycle on purpose
+	feedN(t, orig, 0, 47)
 
 	restored, err := Restore(cfg, orig.ExportState())
 	if err != nil {
@@ -105,9 +104,78 @@ func TestRestoredStreamEvolvesIdentically(t *testing.T) {
 	feedN(t, restored, 1000, 53)
 	queriesEqual(t, orig, restored)
 
-	os, rs := orig.Stats(), restored.Stats()
-	if os.Reextractions != rs.Reextractions {
-		t.Fatalf("anchor cadence diverged: %d vs %d re-extractions", os.Reextractions, rs.Reextractions)
+	for _, s := range []*Stream{orig, restored} {
+		if mismatches, err := s.Reextract(); err != nil || mismatches != 0 {
+			t.Fatalf("audit after the tail: %d mismatches, %v", mismatches, err)
+		}
+	}
+	queriesEqual(t, orig, restored)
+}
+
+// TestExportRestoreIsLazy: ExportState copies the rings and settles
+// nothing — no extrema for a stream no read asked for, no catch-up of a
+// read stream's backlog — and Restore copies them back without allocating
+// extrema; the restored stream's first read rebuilds them from the window,
+// as a settle after a backlog of a window or more does, and answers as
+// the original does.
+func TestExportRestoreIsLazy(t *testing.T) {
+	cfg := Config{Window: 32, MaxK: 8}
+	for _, n := range []int64{5, 32, 80} { // below, at and past the window
+		orig, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedN(t, orig, 0, n)
+		orig.ExportState()
+		if orig.pre.maxVal != nil || orig.settled != 0 {
+			t.Fatalf("n=%d: export of an unread stream settled %d samples", n, orig.settled)
+		}
+		if _, err := orig.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		feedN(t, orig, 1000, 3)
+		st := orig.ExportState()
+		if orig.settled != n {
+			t.Fatalf("n=%d: export settled the backlog: settled %d", n, orig.settled)
+		}
+		restored, err := Restore(cfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.pre.maxVal != nil || restored.spi.maxVal != nil || restored.settled != 0 {
+			t.Fatalf("n=%d: Restore settled %d samples into the extrema", n, restored.settled)
+		}
+		snap, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Settled != int(n+3) || snap.Rebuilt != (n+3 >= 32) {
+			t.Fatalf("n=%d: first read settled %d (rebuilt %v)", n, snap.Settled, snap.Rebuilt)
+		}
+		queriesEqual(t, orig, restored)
+	}
+}
+
+// TestDecodeStateIgnoresRetiredFields: snapshots written while the State
+// layout still carried the anchor cadence and counters decode to the same
+// State, whatever those retired slots hold.
+func TestDecodeStateIgnoresRetiredFields(t *testing.T) {
+	orig, err := New(Config{Window: 16, MaxK: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedN(t, orig, 0, 20)
+	blob := orig.ExportState().AppendBinary(nil)
+	old := append([]byte{}, blob...)
+	for slot, v := range map[int]byte{2: 16, 6: 4, 7: 3, 8: 1} {
+		old[len(stateMagic)+8*slot] = v
+	}
+	st, err := DecodeState(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.AppendBinary(nil); string(got) != string(blob) {
+		t.Fatal("retired fields changed the decoded state")
 	}
 }
 
@@ -121,7 +189,6 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	for _, cfg := range []Config{
 		{Window: 128, MaxK: 16},
 		{Window: 64, MaxK: 8},
-		{Window: 64, MaxK: 16, ReextractEvery: 7},
 	} {
 		if _, err := Restore(cfg, st); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("Restore with config %+v: err=%v, want ErrBadConfig", cfg, err)

@@ -55,18 +55,17 @@ func checkReadAgainstBatch(t *testing.T, s *Stream, kind int, ts, d []int64, win
 }
 
 // TestSettleOnReadDifferential interleaves ingests of 1 to 3×Window
-// samples (through Ingest and IngestBatches), reads of every kind, forced
-// anchors and ExportState→Restore round trips at random. Whatever the
-// backlog a read finds — none, incremental, or a full-window rebuild — its
-// answer must equal a batch extraction of the window, and the anchor must
-// never disagree.
+// samples (through Ingest and IngestBatches), reads of every kind, audits
+// and ExportState→Restore round trips at random. Whatever the backlog a
+// read finds — none, incremental, or a full-window rebuild — its answer
+// must equal a batch extraction of the window, and an audit must never
+// disagree.
 func TestSettleOnReadDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	for trial := 0; trial < 30; trial++ {
 		window := 2 + rng.Intn(60)
 		maxK := 1 + rng.Intn(window)
-		reevery := []int{-1, 0, 1 + rng.Intn(2*window)}[rng.Intn(3)]
-		cfg := Config{Window: window, MaxK: maxK, ReextractEvery: reevery}
+		cfg := Config{Window: window, MaxK: maxK}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -100,31 +99,34 @@ func TestSettleOnReadDifferential(t *testing.T) {
 				}
 			case op < 8: // read
 				checkReadAgainstBatch(t, s, rng.Intn(4), ts, d, window, maxK)
-			case op == 8: // forced anchor
-				if drift, err := s.Reextract(); err != nil || drift != 0 {
-					t.Fatalf("trial %d step %d: Reextract drift=%d, %v", trial, step, drift, err)
+			case op == 8: // audit
+				if mismatches, err := s.Reextract(); err != nil || mismatches != 0 {
+					t.Fatalf("trial %d step %d: Reextract mismatches=%d, %v", trial, step, mismatches, err)
 				}
 			default: // durability round trip; the restored stream carries on
 				r, err := Restore(cfg, s.ExportState())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Stats() != s.Stats() {
-					t.Fatalf("trial %d step %d: restored stats %+v, want %+v", trial, step, r.Stats(), s.Stats())
+				want := s.Stats()
+				want.Audits = 0 // audit counters are the process's, not the state's
+				if r.Stats() != want {
+					t.Fatalf("trial %d step %d: restored stats %+v, want %+v", trial, step, r.Stats(), want)
 				}
 				s = r
 				checkReadAgainstBatch(t, s, rng.Intn(4), ts, d, window, maxK)
 			}
-			if st := s.Stats(); st.Drift != 0 || st.Total != int64(len(ts)) {
-				t.Fatalf("trial %d step %d: drift=%d total=%d (want 0, %d)", trial, step, st.Drift, st.Total, len(ts))
+			if st := s.Stats(); st.Mismatches != 0 || st.Total != int64(len(ts)) {
+				t.Fatalf("trial %d step %d: mismatches=%d total=%d (want 0, %d)", trial, step, st.Mismatches, st.Total, len(ts))
 			}
 		}
 	}
 }
 
 // TestSettleIsLazy pins where the curve work happens: ingest never touches
-// (or allocates) the extrema or runs the anchor, and the first read after a
-// backlog of a window or more pays exactly one rebuild and one anchor.
+// (or allocates) the extrema, the first read after a backlog of a window or
+// more rebuilds them from the window, a shorter backlog is caught up, and
+// no read runs an audit.
 func TestSettleIsLazy(t *testing.T) {
 	const window = 64
 	s, err := New(Config{Window: window, MaxK: 16})
@@ -144,8 +146,8 @@ func TestSettleIsLazy(t *testing.T) {
 	for i := 0; i < 4*window/8; i++ {
 		feed(8)
 	}
-	if st := s.Stats(); st.Reextractions != 0 || st.Total != 4*window {
-		t.Fatalf("after ingest only: %+v, want 0 re-extractions", st)
+	if st := s.Stats(); st.Total != 4*window {
+		t.Fatalf("after ingest only: %+v", st)
 	}
 	if s.pre.Total() != 0 || s.pre.maxVal != nil || s.spi.maxVal != nil {
 		t.Fatalf("ingest caught the extrema up with %d points", s.pre.Total())
@@ -158,9 +160,6 @@ func TestSettleIsLazy(t *testing.T) {
 	if snap.Settled != 4*window || !snap.Rebuilt {
 		t.Fatalf("first read settled %d (rebuilt %v), want %d rebuilt", snap.Settled, snap.Rebuilt, 4*window)
 	}
-	if st := s.Stats(); st.Reextractions != 1 || st.Drift != 0 {
-		t.Fatalf("first read: %d re-extractions, drift %d; want exactly one anchor", st.Reextractions, st.Drift)
-	}
 	checkAgainstBatch(t, s, ts, d, window, 16)
 
 	v := s.Version()
@@ -172,24 +171,7 @@ func TestSettleIsLazy(t *testing.T) {
 		t.Fatalf("settled read re-settled %d (rebuilt %v) or moved the version", snap.Settled, snap.Rebuilt)
 	}
 
-	// A backlog shorter than the window is caught up, not rebuilt; the
-	// anchor waits until a window's worth has been settled.
-	feed(5)
-	snap, err = s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Settled != 5 || snap.Rebuilt {
-		t.Fatalf("short backlog settled %d (rebuilt %v), want 5 incremental", snap.Settled, snap.Rebuilt)
-	}
-	if st := s.Stats(); st.Reextractions != 1 {
-		t.Fatalf("short backlog ran the anchor early: %d re-extractions", st.Reextractions)
-	}
-	checkAgainstBatch(t, s, ts, d, window, 16)
-
-	// The anchor fires on the settle that brings the settled count since
-	// the last anchor to ReextractEvery (default Window), not before.
-	settleAndCount := func(n int, wantRebuilt bool, wantAnchors int64) {
+	settle := func(n int, wantRebuilt bool) {
 		t.Helper()
 		feed(n)
 		snap, err := s.Snapshot()
@@ -197,14 +179,14 @@ func TestSettleIsLazy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if snap.Settled != n || snap.Rebuilt != wantRebuilt {
-			t.Fatalf("backlog %d: settled %d, rebuilt %v", n, snap.Settled, snap.Rebuilt)
+			t.Fatalf("backlog %d: settled %d, rebuilt %v; want rebuilt %v", n, snap.Settled, snap.Rebuilt, wantRebuilt)
 		}
-		if st := s.Stats(); st.Reextractions != wantAnchors || st.Drift != 0 {
-			t.Fatalf("backlog %d: %d re-extractions (drift %d), want %d", n, st.Reextractions, st.Drift, wantAnchors)
-		}
+		checkAgainstBatch(t, s, ts, d, window, 16)
 	}
-	settleAndCount(window-6, false, 1) // window−1 settled since the anchor
-	settleAndCount(1, false, 2)        // window reached
-	settleAndCount(window, true, 3)    // a backlog of exactly Window rebuilds
-	checkAgainstBatch(t, s, ts, d, window, 16)
+	settle(5, false)
+	settle(window-1, false)
+	settle(window, true) // a backlog of exactly Window rebuilds
+	if st := s.Stats(); st.Audits != 0 {
+		t.Fatalf("reads ran %d audits, want none", st.Audits)
+	}
 }

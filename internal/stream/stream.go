@@ -35,7 +35,7 @@ const (
 	DefaultMaxK   = 256
 )
 
-// scratch holds the temporaries of one settling read: the anchor's kernel
+// scratch holds the temporaries of one audit or read: an audit's kernel
 // input and outputs, and the tables Snapshot copies into its curves.
 type scratch struct{ data, up, lo, up2, lo2 []int64 }
 
@@ -72,14 +72,6 @@ type Config struct {
 	// MaxK is the largest window length k the curves cover, capped to
 	// Window. Default min(256, Window).
 	MaxK int
-	// ReextractEvery is the anchor cadence: a full batch re-extraction via
-	// internal/kernel that cross-checks the incremental state. The curves
-	// are settled lazily on read (see Stream), and a settle runs the anchor once at least ReextractEvery
-	// samples have been applied since the last one — so the anchor always
-	// checks settled state, at read time, not at fixed sample positions.
-	// 0 means Window: every settle of a backlog of a full window is
-	// cross-checked. Negative disables the anchor.
-	ReextractEvery int
 }
 
 // Resolved returns the config with every zero field replaced by its
@@ -99,9 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxK > c.Window {
 		c.MaxK = c.Window
 	}
-	if c.ReextractEvery == 0 {
-		c.ReextractEvery = c.Window
-	}
 	return c
 }
 
@@ -113,22 +102,26 @@ func (c Config) withDefaults() Config {
 //
 // The curves are settled on read. Ingest only appends to the two rings (and
 // checks each new sample's windows against the contract, read from the
-// prefix ring); the first read that needs curves — Workload,
-// Spans, Snapshot, Reextract, ExportState — catches the incremental extrema
-// up with everything ingested since the previous read, in one pass over
-// the rings. A backlog of a window or more has expired every recorded
+// prefix ring); the first read that needs curves — Workload, Spans,
+// Snapshot, or an audit (Reextract, Audit) — catches the incremental
+// extrema up with everything ingested since the previous read, in one pass
+// over the rings. A backlog of a window or more has expired every recorded
 // extremum, so that pass rescans the whole window: the settle "rebuilds".
 // Answers are the same either way, and a settle does not move Version.
+//
+// A settle only settles. The check that the settled extrema equal a batch
+// extraction of the window is an audit, run on demand (Reextract) or by a
+// caller's sampled auditor (Audit) — never on the read path.
 type Stream struct {
 	mu     sync.Mutex
 	window int
 	maxK   int
-	reint  int // re-extraction interval; ≤ 0 disables
 
 	// version counts state mutations (ingest batches, contract changes,
-	// forced re-extractions). It is bumped under mu before the mutating
-	// call returns and is readable WITHOUT the lock, so version-keyed
-	// caches (internal/server) can validate a hit with one atomic load.
+	// audits that found a mismatch and rebuilt). It is bumped under mu
+	// before the mutating call returns and is readable WITHOUT the lock, so
+	// version-keyed caches (internal/server) can validate a hit with one
+	// atomic load.
 	//
 	// version and lastMut are the only fields read lock-free while ingest
 	// is writing everything around them, so they get their own cache line:
@@ -161,9 +154,9 @@ type Stream struct {
 	firstViol  *core.Violation // first contract violation ever seen
 	violations int64           // total contract violations
 
-	sinceAnchor   int   // samples settled since the last re-extraction
-	reextractions int64 // anchor runs performed
-	drift         int64 // anchor runs that disagreed with the incremental state
+	audits     int64 // audits run (see Reextract)
+	mismatches int64 // audits that disagreed with the incremental state
+	audited    int64 // version at the last audit
 
 	obsT, obsD [1]int64 // Observe's single-sample batch, allocation-free
 }
@@ -180,7 +173,6 @@ func New(cfg Config) (*Stream, error) {
 	s := &Stream{
 		window: cfg.Window,
 		maxK:   cfg.MaxK,
-		reint:  cfg.ReextractEvery,
 	}
 	pre, err := NewInc(cfg.MaxK, cfg.Window+1)
 	if err != nil {
@@ -204,8 +196,9 @@ type IngestResult struct {
 	Version    int64           // stream version after this batch's bump
 	Violation  *core.Violation // first contract violation IN THIS BATCH, if any
 	Violations int64           // cumulative contract violations
-	// Drift counts anchor disagreements (expect 0) as of the last settle:
-	// ingest does not run the anchor, so this batch is not yet checked.
+	// Drift is the stream's audit mismatch count (expect 0): audits that
+	// found the settled extrema disagreeing with a batch extraction of the
+	// window. Ingest runs no audit, so this batch is not yet checked.
 	Drift int64
 }
 
@@ -311,7 +304,7 @@ func (s *Stream) ingestLocked(ts, demands []int64) IngestResult {
 	s.total += int64(len(ts))
 	s.lastT = ts[len(ts)-1]
 	s.bumpLocked()
-	res.Total, res.Violations, res.Drift = s.total, s.violations, s.drift
+	res.Total, res.Violations, res.Drift = s.total, s.violations, s.mismatches
 	// The WAL tags each logged batch with the version it lands at, for
 	// exactly-once replay.
 	res.Version = s.version.Load()
@@ -375,8 +368,8 @@ func (s *Stream) IngestBatches(batches []Batch, results []BatchResult) {
 }
 
 // Version returns the stream's mutation counter: it increases (and never
-// decreases) every time an ingest batch, contract change or forced
-// re-extraction touches state. Reading it does not take the stream lock, so
+// decreases) every time an ingest batch, contract change or mismatching
+// audit touches state. Reading it does not take the stream lock, so
 // callers can validate version-keyed caches for free; Snapshot and Stats
 // record the version consistent with their contents.
 func (s *Stream) Version() int64 { return s.version.Load() }
@@ -461,14 +454,16 @@ func (s *Stream) demandsLocked(dst []int64) []int64 {
 	return dst[:from+n]
 }
 
-// reextractLocked runs the batch kernel over the current window contents and
-// compares bit for bit with the settled incremental state — the correctness
-// anchor. Callers settle first.
-// Disagreement increments the drift counter and rebuilds the incremental
-// state from the window (the anchor wins).
-func (s *Stream) reextractLocked() error {
-	s.sinceAnchor = 0
-	s.reextractions++
+// auditLocked settles the curves, runs the batch kernel over the current
+// window contents and compares bit for bit with the incremental state. A
+// disagreement counts a mismatch, rebuilds the incremental state from the
+// window (the kernel wins) and bumps the version, so cached answers taken
+// from the wrong extrema are not served again. An agreeing audit changes
+// no answer and does not move the version.
+func (s *Stream) auditLocked() error {
+	s.settleLocked()
+	s.audits++
+	defer func() { s.audited = s.version.Load() }()
 	n := s.inWindowLocked()
 	if n == 0 {
 		return nil
@@ -485,13 +480,11 @@ func (s *Stream) reextractLocked() error {
 	effK := s.effKLocked()
 	sc.up = grow(sc.up, effK+1)
 	sc.lo = grow(sc.lo, effK+1)
-	// Workers: 1 — the anchor runs under the stream mutex, and the kernel's
+	// Workers: 1 — the audit runs under the stream mutex, and the kernel's
 	// pool (its default at this window·K size) would spawn GOMAXPROCS
-	// goroutines per anchor while holding it: scheduler allocations (malg/
-	// allocm) under the stream lock — the 4-proc "0 → 189 allocs/op"
-	// regression — plus worker fan-out behind the most contended lock in
-	// the service. Single-threaded extraction here is also what keeps each
-	// registry shard's goroutine independent of the others.
+	// goroutines per audit while holding it: scheduler allocations (malg/
+	// allocm) under the stream lock, plus worker fan-out behind the most
+	// contended lock in the service.
 	if err := kernel.ExtractInto(sc.data, effK, kernel.Options{Workers: 1}, sc.up, sc.lo); err != nil {
 		return err
 	}
@@ -510,41 +503,27 @@ func (s *Stream) reextractLocked() error {
 	}
 
 	if !agree {
-		s.drift++
+		s.mismatches++
 		s.rebuildLocked()
+		s.bumpLocked()
 	}
 	return nil
 }
 
 // settleLocked catches pre/spi up with every sample ingested since the last
-// settle, then runs the anchor if at least ReextractEvery samples have been
-// applied since the previous one. It reports how many samples it settled
-// and whether the backlog was a window or more (every offset rescanned).
-func (s *Stream) settleLocked() (settled int, rebuilt bool, err error) {
-	settled, rebuilt = s.catchUpLocked()
-	if s.reint > 0 && s.sinceAnchor >= s.reint {
-		err = s.reextractLocked()
-	}
-	return settled, rebuilt, err
-}
-
-// catchUpLocked applies the unsettled backlog to pre/spi and charges it to
-// the anchor cadence.
-func (s *Stream) catchUpLocked() (settled int, rebuilt bool) {
+// settle. It reports how many samples it settled and whether the backlog
+// was a window or more (every offset rescanned).
+func (s *Stream) settleLocked() (settled int, rebuilt bool) {
 	backlog := s.total - s.settled
 	if backlog == 0 {
 		return 0, false
 	}
 	s.applyLocked()
-	if s.reint > 0 {
-		s.sinceAnchor += int(backlog)
-	}
 	return int(backlog), backlog >= int64(s.window)
 }
 
 // rebuildLocked forgets every recorded extremum and catches pre/spi up from
-// the retained window — the recovery path should the anchor ever disagree,
-// and Restore's way back from a State. It does not charge the anchor.
+// the retained window — how an audit recovers from a mismatch.
 func (s *Stream) rebuildLocked() {
 	s.pre.Reset()
 	if s.spi != nil {
@@ -586,9 +565,7 @@ func equal(a, b []int64) bool {
 func (s *Stream) Workload() (core.Workload, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, _, err := s.settleLocked(); err != nil {
-		return core.Workload{}, err
-	}
+	s.settleLocked()
 	return s.workloadLocked()
 }
 
@@ -615,9 +592,7 @@ func (s *Stream) workloadLocked() (core.Workload, error) {
 func (s *Stream) Spans() (arrival.Spans, arrival.MaxSpans, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, _, err := s.settleLocked(); err != nil {
-		return nil, nil, err
-	}
+	s.settleLocked()
 	return s.spansLocked()
 }
 
@@ -720,10 +695,7 @@ func (s *Stream) HoldLock(d time.Duration) {
 }
 
 func (s *Stream) snapshotLocked() (Snapshot, error) {
-	settled, rebuilt, err := s.settleLocked()
-	if err != nil {
-		return Snapshot{}, err
-	}
+	settled, rebuilt := s.settleLocked()
 	w, err := s.workloadLocked()
 	if err != nil {
 		return Snapshot{}, err
@@ -794,9 +766,8 @@ func (s *Stream) CheckService(freqHz float64, latencyNs int64, b int) (bool, err
 	return snap.CheckService(freqHz, latencyNs, b)
 }
 
-// Stats is the stream's observability surface. Reading it does not settle
-// the curves, so the anchor counters are as of the last settle (the last
-// read that needed curves); Total and the contract fields are current.
+// Stats is the stream's observability surface, current at capture. Reading
+// it does not settle the curves.
 type Stats struct {
 	Version        int64           // mutation counter at capture time
 	Total          int64           // samples ever ingested
@@ -804,8 +775,8 @@ type Stats struct {
 	Window         int             // configured sliding window
 	MaxK           int             // configured curve domain
 	LastTimestamp  int64           // largest timestamp ingested
-	Reextractions  int64           // anchor re-extractions run, as of the last settle
-	Drift          int64           // anchor disagreements (expect 0), as of the last settle
+	Audits         int64           // audits run (Reextract, Audit)
+	Mismatches     int64           // audits that disagreed and rebuilt (expect 0)
 	ContractSet    bool            // a contract is installed
 	Violations     int64           // contract violations observed
 	FirstViolation *core.Violation // earliest contract violation, if any
@@ -826,8 +797,8 @@ func (s *Stream) statsLocked() Stats {
 		Window:         s.window,
 		MaxK:           s.maxK,
 		LastTimestamp:  s.lastT,
-		Reextractions:  s.reextractions,
-		Drift:          s.drift,
+		Audits:         s.audits,
+		Mismatches:     s.mismatches,
 		ContractSet:    s.contract != nil,
 		Violations:     s.violations,
 		FirstViolation: s.firstViol,
@@ -845,25 +816,36 @@ func (s *Stream) StatsWithin(d time.Duration) (Stats, error) {
 	return s.statsLocked(), nil
 }
 
-// Reextract settles the curves and forces an anchor re-extraction now
-// (normally settles run one every Config.ReextractEvery samples) and
-// reports the cumulative drift count.
-func (s *Stream) Reextract() (drift int64, err error) {
+// Reextract audits the stream now: it settles the curves, re-extracts the
+// window with the batch kernel and compares (see auditLocked). It reports
+// the stream's cumulative mismatch count. An agreeing audit leaves Version,
+// and so every version-keyed cached answer, as it was.
+func (s *Stream) Reextract() (mismatches int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.total == 0 {
-		return 0, nil
+	err = s.auditLocked()
+	return s.mismatches, err
+}
+
+// Audit is Reextract for a sampled auditor: it runs only when the stream
+// has changed since its last audit and a read has already allocated all
+// the extrema its settle needs. So an audit allocates no extrema: it skips
+// a stream no read asked for, and one that outgrew its extrema since its
+// last read, until that read. It reports whether the audit ran and
+// whether it found a mismatch.
+func (s *Stream) Audit() (ran, mismatch bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.version.Load() == s.audited || !s.pre.covers(s.total+1) || s.spi != nil && !s.spi.covers(s.total) {
+		return false, false, nil
 	}
-	defer s.bumpLocked() // counters (and possibly state) change
-	s.catchUpLocked()
-	if err := s.reextractLocked(); err != nil {
-		return 0, err
-	}
-	return s.drift, nil
+	before := s.mismatches
+	err = s.auditLocked()
+	return true, s.mismatches != before, err
 }
 
 // DemandTrace returns the retained window's demands in ingest order — the
-// batch the anchor re-extraction characterizes.
+// batch an audit re-extracts.
 func (s *Stream) DemandTrace() events.DemandTrace {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -115,8 +115,8 @@ func TestEmptyStreamQueries(t *testing.T) {
 	if _, err := s.MinFrequency(1); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("MinFrequency on empty: %v", err)
 	}
-	if drift, err := s.Reextract(); err != nil || drift != 0 {
-		t.Errorf("Reextract on empty: %d, %v", drift, err)
+	if mismatches, err := s.Reextract(); err != nil || mismatches != 0 {
+		t.Errorf("Reextract on empty: %d, %v", mismatches, err)
 	}
 }
 
@@ -313,7 +313,7 @@ func TestPrefixSumHorizon(t *testing.T) {
 		d[i] = 1<<59 + int64(i%7) // Σ d crosses 2⁶² after 8 samples, 2⁶³ after 16
 	}
 	for _, readEvery := range []bool{true, false} {
-		cfg := Config{Window: window, MaxK: maxK, ReextractEvery: 4}
+		cfg := Config{Window: window, MaxK: maxK}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -327,14 +327,20 @@ func TestPrefixSumHorizon(t *testing.T) {
 			wrapped = wrapped || s.prefix[s.total%(window+1)] < 0
 			if readEvery {
 				checkAgainstBatch(t, s, ts[:j], d[:j], window, maxK)
+				if _, err := s.Reextract(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if !wrapped {
 			t.Fatal("the running prefix sum never wrapped")
 		}
 		checkAgainstBatch(t, s, ts, d, window, maxK)
-		if st := s.Stats(); st.Drift != 0 || st.Reextractions == 0 {
-			t.Fatalf("readEvery=%v: drift=%d after %d anchors", readEvery, st.Drift, st.Reextractions)
+		if _, err := s.Reextract(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Mismatches != 0 || st.Audits == 0 {
+			t.Fatalf("readEvery=%v: %d mismatches after %d audits", readEvery, st.Mismatches, st.Audits)
 		}
 		if got := s.DemandTrace(); !equal(got, d[n-window:]) {
 			t.Fatalf("readEvery=%v: window trace %v, want %v", readEvery, got, d[n-window:])
@@ -348,7 +354,7 @@ func TestPrefixSumHorizon(t *testing.T) {
 }
 
 func TestRebuildRecoversFromCorruption(t *testing.T) {
-	s, err := New(Config{Window: 8, MaxK: 4, ReextractEvery: -1})
+	s, err := New(Config{Window: 8, MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,20 +367,25 @@ func TestRebuildRecoversFromCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Settle first: corruption of unsettled state would be overwritten by
-	// the settle's rebuild before the anchor could see it.
+	// the settle's rebuild before the audit could see it.
 	if _, err := s.Workload(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the incremental state behind the anchor's back.
+	// Corrupt the incremental state behind the audit's back.
 	s.mu.Lock()
 	s.pre.maxVal[0] += 999
 	s.mu.Unlock()
-	drift, err := s.Reextract()
+	v := s.Version()
+	mismatches, err := s.Reextract()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drift != 1 {
-		t.Fatalf("drift = %d, want 1", drift)
+	if mismatches != 1 {
+		t.Fatalf("mismatches = %d, want 1", mismatches)
+	}
+	// The rebuild changed the answers: the version moves so cached ones go.
+	if s.Version() != v+1 {
+		t.Fatalf("mismatching audit: version %d, want %d", s.Version(), v+1)
 	}
 	// The rebuild restored ground truth.
 	w, err := s.Workload()
@@ -390,10 +401,53 @@ func TestRebuildRecoversFromCorruption(t *testing.T) {
 			t.Fatalf("rebuild mismatch at k=%d", k)
 		}
 	}
-	// A subsequent anchor run agrees again.
-	if drift, err := s.Reextract(); err != nil || drift != 1 {
-		t.Fatalf("post-rebuild anchor: drift=%d, %v", drift, err)
+	// A subsequent audit agrees again, and leaves the version alone.
+	if mismatches, err := s.Reextract(); err != nil || mismatches != 1 || s.Version() != v+1 {
+		t.Fatalf("post-rebuild audit: mismatches=%d version=%d, %v", mismatches, s.Version(), err)
 	}
+}
+
+// TestAuditAllocatesNoExtrema: Audit skips a stream no read has settled
+// and one that outgrew its extrema since its last read; once a read has
+// grown them, it audits without allocating.
+func TestAuditAllocatesNoExtrema(t *testing.T) {
+	s, err := New(Config{Window: 64, MaxK: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now int64
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			now += 3
+			if _, err := s.Ingest([]int64{now}, []int64{now % 11}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	audit := func(want bool) {
+		t.Helper()
+		held := len(s.pre.maxVal)
+		if ran, mismatch, err := s.Audit(); err != nil || mismatch || ran != want {
+			t.Fatalf("Audit at %d samples: ran=%v mismatch=%v err=%v, want ran=%v", s.total, ran, mismatch, err, want)
+		}
+		if len(s.pre.maxVal) != held {
+			t.Fatalf("Audit at %d samples grew the extrema from %d to %d offsets", s.total, held, len(s.pre.maxVal))
+		}
+	}
+	feed(5)
+	audit(false) // never read
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	feed(2)
+	audit(true)  // its 8 offsets cover 7 samples
+	audit(false) // unchanged since
+	feed(40)
+	audit(false) // outgrew them
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	audit(true)
 }
 
 func TestDemandTraceReturnsWindow(t *testing.T) {
@@ -504,7 +558,7 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tick int64
-	for i := 0; i < 200; i++ { // warm: fill window, cross one anchor
+	for i := 0; i < 200; i++ { // warm: fill window
 		tick += 3
 		if _, err := s.Observe(tick, int64(i%11)); err != nil {
 			t.Fatal(err)

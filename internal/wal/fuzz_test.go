@@ -77,7 +77,7 @@ func FuzzSnapshot(f *testing.F) {
 			// server's window is sane) before any allocation.
 			return
 		}
-		cfg := stream.Config{Window: st.Window, MaxK: st.MaxK, ReextractEvery: st.ReextractEvery}
+		cfg := stream.Config{Window: st.Window, MaxK: st.MaxK}
 		if _, err := stream.Restore(cfg, st); err != nil {
 			t.Fatalf("DecodeState accepted a state Restore rejects: %v", err)
 		}

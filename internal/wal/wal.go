@@ -121,13 +121,14 @@ type Options struct {
 	Stream stream.Config
 }
 
-// walMeta is the meta.json schema.
+// walMeta is the meta.json schema. Directories written by earlier builds
+// also record "reextract_every", a retired stream setting; decoding
+// ignores it.
 type walMeta struct {
-	Format         int `json:"format"`
-	Shards         int `json:"shards"`
-	Window         int `json:"window"`
-	MaxK           int `json:"max_k"`
-	ReextractEvery int `json:"reextract_every"`
+	Format int `json:"format"`
+	Shards int `json:"shards"`
+	Window int `json:"window"`
+	MaxK   int `json:"max_k"`
 }
 
 const metaFormat = 1
@@ -190,8 +191,7 @@ func Open(opts Options) (*Manager, error) {
 		return nil, err
 	}
 	rs := opts.Stream.Resolved()
-	want := walMeta{Format: metaFormat, Shards: opts.Shards,
-		Window: rs.Window, MaxK: rs.MaxK, ReextractEvery: rs.ReextractEvery}
+	want := walMeta{Format: metaFormat, Shards: opts.Shards, Window: rs.Window, MaxK: rs.MaxK}
 	if err := checkOrWriteMeta(opts.Dir, want); err != nil {
 		return nil, err
 	}

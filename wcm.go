@@ -512,20 +512,20 @@ func ConvolveService(a, b PWLCurve) PWLCurve { return pwl.Convolve(a, b) }
 // CurveStream maintains (γᵘ, γˡ) and the span tables d(k)/D(k)
 // incrementally over a sliding window of demand samples: ingest appends
 // in O(batch), and the next read catches the curves up instead of running
-// a full re-extraction, with a periodic batch re-extraction as correctness
-// anchor. Safe for concurrent use.
+// a full re-extraction. Reextract audits the curves against a batch
+// re-extraction of the window (wcmd's auditor calls it off the request
+// path). Safe for concurrent use.
 type CurveStream = stream.Stream
 
-// CurveStreamConfig parameterizes a CurveStream (window, curve domain,
-// anchor cadence).
+// CurveStreamConfig parameterizes a CurveStream (window, curve domain).
 type CurveStreamConfig = stream.Config
 
 // CurveStreamSnapshot is a consistent point-in-time view of a stream's
 // curves and span tables.
 type CurveStreamSnapshot = stream.Snapshot
 
-// CurveStreamStats is a stream's observability surface (totals, drift,
-// contract violations).
+// CurveStreamStats is a stream's observability surface (totals, audit
+// counts, contract violations).
 type CurveStreamStats = stream.Stats
 
 // StreamIngestResult reports one accepted ingest batch.
