@@ -26,19 +26,19 @@
 // to write a response, 2 min idle) cut slow-loris clients,
 // -request-timeout bounds each handler (contended reads past it serve the
 // last cached snapshot marked "degraded":true), and per-class
-// in-flight caps (-max-inflight-ingest, -max-inflight-read) shed overload
+// in-flight caps (256 mutations, 1024 reads) shed overload
 // with 429 + Retry-After instead of collapsing. Handler panics answer 500
 // and are counted in wcmd_panics_total. Builds with the faultinject tag
 // additionally expose -inject-fault for resilience smoke tests.
 //
 // Multi-tenant QoS: requests name their tenant via the X-Wcm-Tenant header
 // or ?tenant= query parameter (unknown and untagged requests share the
-// "default" tenant). Each -tenant flag (repeatable) or -tenant-config JSON
-// file declares one tenant's policy — SLO class (interactive|batch|
-// besteffort, shed in reverse order under load), token-bucket request rate
-// and burst, and a stream-count quota. Throttled reads are still served
-// from the cached degraded path when possible; per-tenant counters are at
-// /v1/tenants and wcmd_tenant_* in /metrics.
+// "default" tenant, which is interactive). Each -tenant flag (repeatable)
+// or -tenant-config JSON file declares one tenant's policy — SLO class
+// (interactive|batch|besteffort, shed in reverse order under load),
+// token-bucket request rate and burst, and a stream-count quota. Throttled
+// reads are still served from the cached degraded path when possible;
+// per-tenant counters are at /v1/tenants and wcmd_tenant_* in /metrics.
 //
 // With -data-dir set, wcmd is durable: every ingest request applies its
 // batch, appends it to a per-shard write-ahead log and commits it (fsynced
@@ -92,9 +92,12 @@ func (l *tenantFlagList) Set(v string) error {
 // including the body — the slow-loris bound — while the shorter header
 // timeout cuts clients that never even finish their request line. The
 // read, write and idle timeouts, the checkpoint cadence, the body cap
-// (server.DefaultMaxBodyBytes) and the slow-request threshold
-// (server.DefaultSlowRequest) are fixed: no deployment set them to anything
-// else, and tests set serveOpts and server.Config directly.
+// (server.DefaultMaxBodyBytes), the slow-request threshold
+// (server.DefaultSlowRequest), the in-flight caps
+// (server.DefaultMaxInflightIngest, server.DefaultMaxInflightRead) and the
+// default tenant's SLO class (interactive, server.Config's zero DefaultSLO)
+// are fixed: no deployment set them to anything else, and tests set
+// serveOpts and server.Config directly.
 const (
 	defaultReadHeaderTimeout = 10 * time.Second
 	defaultReadTimeout       = 30 * time.Second
@@ -147,10 +150,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		"characterize the server's own request costs and serve them at /debug/self")
 	requestTimeout := fs.Duration("request-timeout", defaultRequestTimeout,
 		"per-request handler deadline; contended reads past it serve a degraded cached answer (0 disables)")
-	maxInflightIngest := fs.Int("max-inflight-ingest", server.DefaultMaxInflightIngest,
-		"max concurrently executing mutating requests before shedding with 429 (negative disables)")
-	maxInflightRead := fs.Int("max-inflight-read", server.DefaultMaxInflightRead,
-		"max concurrently executing read requests before degrading/shedding (negative disables)")
 	traceSample := fs.Int("trace-sample", server.DefaultTraceSample,
 		"keep 1 in N ordinary request traces (anomalous ones are always kept) in the /debug/traces store; 0 disables tracing")
 	dataDir := fs.String("data-dir", "",
@@ -162,8 +161,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		`tenant QoS policy "name:slo[:rate[:burst[:maxstreams]]]" (repeatable); slo is interactive|batch|besteffort`)
 	tenantConfig := fs.String("tenant-config", "",
 		`JSON file declaring tenant QoS policies ({"tenants":[{"name":...,"slo":...,"rate":...,"burst":...,"max_streams":...}]})`)
-	defaultSLO := fs.String("default-slo", "",
-		"SLO class for untagged requests and tenants that declare none (default interactive)")
 	getFaults := addFaultFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return server.Config{}, serveOpts{}, err
@@ -207,13 +204,12 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		SlowRequest:       server.DefaultSlowRequest,
 		SelfCurves:        *selfCurves,
 		RequestTimeout:    *requestTimeout,
-		MaxInflightIngest: *maxInflightIngest,
-		MaxInflightRead:   *maxInflightRead,
+		MaxInflightIngest: server.DefaultMaxInflightIngest,
+		MaxInflightRead:   server.DefaultMaxInflightRead,
 		TraceSample:       *traceSample,
 		SnapshotInterval:  defaultSnapshotInterval,
 		Faults:            faults,
 		Tenants:           tenants,
-		DefaultSLO:        *defaultSLO,
 	}
 	opts := serveOpts{
 		addr:         *addr,

@@ -81,6 +81,7 @@ func TestParseFlags(t *testing.T) {
 		{"-read-timeout", "5s"}, {"-write-timeout", "6s"}, {"-idle-timeout", "7s"},
 		{"-snapshot-interval", "30s"},
 		{"-max-body", "4096"}, {"-slow-request", "50ms"},
+		{"-max-inflight-ingest", "2"}, {"-max-inflight-read", "-1"}, {"-default-slo", "batch"},
 	} {
 		if _, _, err := parseFlags(gone); err == nil {
 			t.Fatalf("removed flag %s accepted", gone[0])
@@ -89,17 +90,12 @@ func TestParseFlags(t *testing.T) {
 }
 
 func TestParseFlagsResilience(t *testing.T) {
-	cfg, _, err := parseFlags([]string{
-		"-request-timeout", "250ms", "-max-inflight-ingest", "2", "-max-inflight-read", "-1",
-	})
+	cfg, _, err := parseFlags([]string{"-request-timeout", "250ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.RequestTimeout != 250*time.Millisecond {
 		t.Fatalf("RequestTimeout = %v", cfg.RequestTimeout)
-	}
-	if cfg.MaxInflightIngest != 2 || cfg.MaxInflightRead != -1 {
-		t.Fatalf("in-flight caps = %d/%d", cfg.MaxInflightIngest, cfg.MaxInflightRead)
 	}
 }
 
@@ -349,12 +345,11 @@ func TestParseFlagsTenants(t *testing.T) {
 	cfg, _, err := parseFlags([]string{
 		"-tenant", "acme:interactive:100:20:500",
 		"-tenant", "bg:besteffort",
-		"-default-slo", "batch",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Tenants) != 2 || cfg.DefaultSLO != "batch" {
+	if len(cfg.Tenants) != 2 || cfg.DefaultSLO != "" {
 		t.Fatalf("tenant cfg = %+v", cfg)
 	}
 	if cfg.Tenants[0] != (qos.TenantConfig{Name: "acme", SLO: "interactive", RatePerSec: 100, Burst: 20, MaxStreams: 500}) {

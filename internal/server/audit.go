@@ -11,8 +11,9 @@ import (
 // audits at most one live stream (stream.Stream.Audit): settle, re-extract
 // the window with the batch kernel, compare. A mismatch rebuilds the
 // stream from its window and bumps its version, so no cached answer taken
-// from the wrong extrema is served again. /metrics sums the streams'
-// counts into wcmd_audit_checked_total and wcmd_audit_mismatch_total.
+// from the wrong extrema is served again. Each audit and each mismatch is
+// counted as it happens, into wcmd_audit_checked_total and
+// wcmd_audit_mismatch_total.
 //
 // Audit skips a stream unchanged since its last audit or holding no
 // extrema yet, so the auditor never grows a stream no read asked for.
@@ -80,7 +81,7 @@ func (s *Server) auditOnce() bool {
 		s.audit.buf = buf
 		ran := false
 		for _, it := range buf {
-			if it.e.state.Load() != entryLive {
+			if it.e.deleted.Load() {
 				continue
 			}
 			var mismatch bool
@@ -89,7 +90,11 @@ func (s *Server) auditOnce() bool {
 				s.logger.LogAttrs(context.Background(), slog.LevelError, "stream audit failed",
 					slog.String("stream", it.id), slog.Bool("mismatch_rebuilt", mismatch), slog.Any("error", err))
 			}
+			if mismatch {
+				s.metrics.auditMismatch.Add(1)
+			}
 			if ran {
+				s.metrics.auditChecked.Add(1)
 				break
 			}
 		}

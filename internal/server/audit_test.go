@@ -183,7 +183,7 @@ func TestAuditorSkipsUnreadStreams(t *testing.T) {
 		ts[i], ds[i] = int64(i), int64(i%5)
 	}
 	for i := 0; i < 50; i++ {
-		e, _, err := s.getOrCreate(fmt.Sprintf("u%d", i), nil)
+		e, err := s.getOrCreate(fmt.Sprintf("u%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func BenchmarkAuditTick(b *testing.B) {
 	}
 	defer s.Close()
 	s.stopAuditor()
-	e, _, err := s.getOrCreate("full", nil)
+	e, err := s.getOrCreate("full", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -320,4 +320,55 @@ func BenchmarkAuditTick(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(auditTick)*100, "%core")
+}
+
+// TestAuditCountersSurviveDelete: wcmd_audit_checked_total,
+// wcmd_audit_mismatch_total and wcmd_contract_violations_total are
+// counters, so deleting a stream must not take back the audits and
+// violations already counted — on /metrics or in /v1/stats.
+func TestAuditCountersSurviveDelete(t *testing.T) {
+	s, err := New(Config{Stream: streamCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.stopAuditor() // the test drives the ticks
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, id := range []string{"a", "b"} {
+		if code, m := doJSON(t, "POST", ts.URL+"/v1/streams/"+id+"/contract", `{"upper":[0,3,6],"lower":[0,0,0]}`); code != http.StatusOK {
+			t.Fatalf("contract %s: %d %v", id, code, m)
+		}
+		ingestN(t, ts.URL, id, 0, 100)
+		upperCurve(t, ts.URL, id)
+	}
+	for tick := 1; tick <= 2; tick++ {
+		if !s.auditOnce() {
+			t.Fatalf("tick %d audited nothing", tick)
+		}
+	}
+	series := []string{"wcmd_audit_checked_total", "wcmd_audit_mismatch_total", "wcmd_contract_violations_total"}
+	read := func() []string {
+		out := make([]string, 0, len(series)+3)
+		for _, name := range series {
+			out = append(out, metricValue(t, ts.URL, name))
+		}
+		_, m := doJSON(t, "GET", ts.URL+"/v1/stats", "")
+		streams := m["streams"].(map[string]any)
+		for _, f := range []string{"audit_checked", "audit_mismatch", "violations"} {
+			out = append(out, fmt.Sprint(streams[f]))
+		}
+		return out
+	}
+	before := read()
+	if before[0] != "2" || before[2] == "0" {
+		t.Fatalf("before the delete: %v, want 2 audits and some violations", before)
+	}
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/streams/a", ""); code != http.StatusNoContent {
+		t.Fatal("delete")
+	}
+	if after := read(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("counters fell on DELETE: %v, were %v", after, before)
+	}
 }

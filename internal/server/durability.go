@@ -120,7 +120,7 @@ func (s *Server) recoverStream(sr wal.StreamRecovery) (*stream.Stream, error) {
 	batches := make([]stream.Batch, len(sr.Batches))
 	results := make([]stream.BatchResult, len(sr.Batches))
 	for j, b := range sr.Batches {
-		batches[j] = stream.Batch{Ts: b.Ts, Demands: b.Demands}
+		batches[j] = stream.Batch{Ts: b.Ts, Demands: b.Demands, Version: b.Version}
 	}
 	st.IngestBatches(batches, results)
 	for j := range results {
@@ -148,7 +148,7 @@ func (s *Server) walLog(ctx context.Context, id string, e *entry, version int64,
 	idx := s.shardIndex(id)
 	sh := s.shards[idx]
 	sh.mu.RLock()
-	if e.state.Load() == entryDeleted {
+	if e.deleted.Load() {
 		sh.mu.RUnlock()
 		return nil
 	}
@@ -245,7 +245,7 @@ func (s *Server) checkpointShard(i int) error {
 
 	live := make(map[string]bool, len(items))
 	for _, it := range items {
-		if it.e.state.Load() != entryLive {
+		if it.e.deleted.Load() {
 			continue
 		}
 		st := it.e.st.ExportState()

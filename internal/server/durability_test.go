@@ -415,3 +415,74 @@ func TestWALShardMismatchRefused(t *testing.T) {
 	}
 	m.Close()
 }
+
+// TestReplayKeepsLoggedVersions: a contract bumps a stream's version
+// without a WAL record, so a batch logged after it carries a version one
+// above the batch count. Replay must land that batch at its logged version.
+// Otherwise a checkpoint of the recovered stream tags its snapshot with a
+// version below the batch it already holds. If that checkpoint dies after
+// writing the snapshot and before truncating the log, the next boot
+// replays the batch on top of the snapshot again: a one-sample batch
+// shows up as a duplicate sample, and a batch whose timestamps rise
+// precedes the snapshot's newest timestamp, so the directory no longer
+// opens.
+func TestReplayKeepsLoggedVersions(t *testing.T) {
+	for _, tc := range []struct {
+		name, batch string
+		total       string // the recovered stream's, after both crashes
+	}{
+		{"duplicate sample", `{"t":[11],"demand":[3]}`, `"total":2`},
+		{"data dir opens", `{"t":[11,12],"demand":[3,4]}`, `"total":3`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Shards: 1, Stream: stream.Config{Window: 32, MaxK: 8}}
+			boot := func() (*Server, *httptest.Server) {
+				t.Helper()
+				c := cfg
+				c.WAL = openTestWAL(t, dir, cfg, wal.PolicyBatch)
+				srv, err := New(c)
+				if err != nil {
+					t.Fatalf("boot: %v", err)
+				}
+				return srv, httptest.NewServer(srv.Handler())
+			}
+			post := func(ts *httptest.Server, path, body string) {
+				t.Helper()
+				if st, raw := rawReq(t, "POST", ts.URL+path, "", []byte(body)); st != http.StatusOK {
+					t.Fatalf("POST %s: %d %s", path, st, raw)
+				}
+			}
+
+			srv, ts := boot()
+			post(ts, "/v1/streams/s/ingest", `{"t":[10],"demand":[5]}`) // version 1
+			if err := srv.checkpointShard(0); err != nil {
+				t.Fatal(err)
+			}
+			post(ts, "/v1/streams/s/contract", `{"upper":[0,50,100],"lower":[0,0,0]}`) // version 2, not logged
+			post(ts, "/v1/streams/s/ingest", tc.batch)                                 // logged at version 3
+			ts.Close()                                                                 // crash
+
+			// Recover, then die in a checkpoint between its snapshot and
+			// the log truncation.
+			srv, ts = boot()
+			ts.Close()
+			l := srv.walShards[0]
+			seg, err := l.Rotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := srv.get("s").st.ExportState()
+			if err := l.WriteSnapshot("s", seg, st.Version, st.AppendBinary(nil)); err != nil {
+				t.Fatal(err)
+			}
+
+			srv, ts = boot()
+			defer srv.Close()
+			defer ts.Close()
+			if st, raw := rawReq(t, "GET", ts.URL+"/v1/streams/s/curves", "", nil); st != http.StatusOK || !strings.Contains(string(raw), tc.total) {
+				t.Fatalf("recovered stream: %d %s, want %s", st, raw, tc.total)
+			}
+		})
+	}
+}

@@ -542,7 +542,7 @@ func TestLockHoldFault(t *testing.T) {
 
 	// Seed the stream and its cache through direct handler state (the HTTP
 	// ingest path would trip the fault): version 1, cached curves.
-	e, _, err := s.getOrCreate("lh", nil)
+	e, err := s.getOrCreate("lh", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,57 +580,131 @@ func TestLockHoldFault(t *testing.T) {
 	<-ingestDone
 }
 
-// TestDropIfEmptyIngestRace races dropIfEmpty against a writer that
-// fetched the same entry: whenever the writer's ingest succeeds, the
-// stream must remain reachable with the sample in it — the tombstone +
-// ensureRegistered protocol may not strand samples in an orphaned stream.
-func TestDropIfEmptyIngestRace(t *testing.T) {
-	s, err := New(Config{Stream: streamCfg})
+// TestCreationRaceStrandsNothing races first batches to fresh ids through
+// the handler: valid ones and invalid ones (negative demand, negative
+// timestamp), from the unlimited default tenant and from a tenant with a
+// stream quota. Whatever the interleaving, a stream exists exactly when
+// some batch to it was acknowledged, and then holds every acknowledged
+// sample; no registry entry is empty; and the quota'd tenant's stream
+// count is its live streams, so a refused first batch takes no slot.
+func TestCreationRaceStrandsNothing(t *testing.T) {
+	const quota = 2
+	s, err := New(Config{Stream: streamCfg, Tenants: []qos.TenantConfig{{Name: "q", MaxStreams: quota}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 300; round++ {
-		id := fmt.Sprintf("race-%d", round)
-		e, created, err := s.getOrCreate(id, nil)
-		if err != nil || !created {
-			t.Fatalf("round %d: getOrCreate: created=%v err=%v", round, created, err)
+	defer s.Close()
+	h := s.Handler()
+	q := s.qos.state("q")
+	post := func(tenant, id, body string) int {
+		req := httptest.NewRequest("POST", "/v1/streams/"+id+"/ingest", strings.NewReader(body))
+		if tenant != "" {
+			req.Header.Set("X-Wcm-Tenant", tenant)
 		}
-		start := make(chan struct{})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	bodies := []struct {
+		body    string
+		samples int64 // 0: invalid for any stream
+	}{
+		{`{"t":[100],"demand":[1]}`, 1},
+		{`{"t":[100,200],"demand":[2,3]}`, 2},
+		{`{"t":[100],"demand":[-1]}`, 0},
+		{`{"t":[-5],"demand":[1]}`, 0},
+	}
+	const writers = 16
+	for round := 0; round < 50; round++ {
+		// The last id gets invalid batches only.
+		ids := []string{fmt.Sprintf("r%d-a", round), fmt.Sprintf("r%d-b", round), fmt.Sprintf("r%d-c", round), fmt.Sprintf("r%d-x", round)}
+		acked := make(map[string]int64)
+		var mu sync.Mutex
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			<-start
-			s.dropIfEmpty(id, e)
-		}()
-		var ingErr, regErr error
-		go func() {
-			defer wg.Done()
-			<-start
-			if _, ingErr = e.st.Ingest([]int64{0}, []int64{1}); ingErr == nil {
-				regErr = s.ensureRegistered(id, e)
-			}
-		}()
+		start := make(chan struct{})
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				i, j := g%len(ids), g/len(ids)
+				if i == len(ids)-1 {
+					j = 2 + j%2
+				}
+				id, b, tenant := ids[i], bodies[j%len(bodies)], ""
+				if g/len(ids)%2 == 1 {
+					tenant = "q"
+				}
+				<-start
+				code := post(tenant, id, b.body)
+				switch {
+				case b.samples == 0 && code != http.StatusBadRequest:
+					t.Errorf("round %d: invalid first batch to %s answered %d", round, id, code)
+				case code == http.StatusOK:
+					mu.Lock()
+					acked[id] += b.samples
+					mu.Unlock()
+				case code != http.StatusBadRequest && code != http.StatusTooManyRequests:
+					t.Errorf("round %d: batch to %s answered %d", round, id, code)
+				}
+			}(g)
+		}
 		close(start)
 		wg.Wait()
-		if ingErr != nil {
-			t.Fatalf("round %d: ingest: %v", round, ingErr)
+		owned := int64(0)
+		for _, sh := range s.shards {
+			sh.mu.RLock()
+			for id, e := range sh.streams {
+				if e.st.Version() == 0 {
+					t.Errorf("round %d: empty stream %s in the registry", round, id)
+				}
+				if e.owner == q {
+					owned++
+				}
+			}
+			sh.mu.RUnlock()
 		}
-		if regErr != nil {
-			t.Fatalf("round %d: ensureRegistered: %v", round, regErr)
+		if got := q.streams.Load(); got != owned {
+			t.Fatalf("round %d: tenant q counts %d streams, owns %d", round, got, owned)
 		}
-		got := s.get(id)
-		if got == nil {
-			t.Fatalf("round %d: stream vanished after acknowledged ingest", round)
+		for _, id := range ids {
+			e := s.get(id)
+			if (e != nil) != (acked[id] > 0) {
+				t.Fatalf("round %d: stream %s registered=%v with %d samples acknowledged", round, id, e != nil, acked[id])
+			}
+			if e == nil {
+				continue
+			}
+			if total := e.st.Stats().Total; total != acked[id] {
+				t.Fatalf("round %d: stream %s holds %d samples, %d acknowledged", round, id, total, acked[id])
+			}
+			req := httptest.NewRequest("DELETE", "/v1/streams/"+id, nil)
+			h.ServeHTTP(httptest.NewRecorder(), req)
 		}
-		if total := got.st.Stats().Total; total != 1 {
-			t.Fatalf("round %d: registered stream total = %d, want 1", round, total)
+		if got := q.streams.Load(); got != 0 {
+			t.Fatalf("round %d: tenant q counts %d streams after deleting them all", round, got)
 		}
+	}
+
+	// At the quota, an invalid first batch is refused as invalid, and a
+	// valid one by the quota; neither takes a slot.
+	for i := 0; i < quota; i++ {
+		if code := post("q", fmt.Sprintf("full-%d", i), bodies[0].body); code != http.StatusOK {
+			t.Fatalf("create full-%d: %d", i, code)
+		}
+	}
+	if code := post("q", "over", bodies[2].body); code != http.StatusBadRequest {
+		t.Fatalf("invalid first batch over quota: %d, want 400", code)
+	}
+	if code := post("q", "over", bodies[0].body); code != http.StatusTooManyRequests {
+		t.Fatalf("valid first batch over quota: %d, want 429", code)
+	}
+	if got := q.streams.Load(); got != quota || s.get("over") != nil {
+		t.Fatalf("after refusals: tenant q counts %d streams, over registered=%v", got, s.get("over") != nil)
 	}
 }
 
-// TestDeleteTombstoneWins pins the other half of the protocol: a writer
-// losing the race to an explicit DELETE does not resurrect the stream.
+// TestDeleteTombstoneWins: a writer losing the race to an explicit DELETE
+// does not resurrect the stream.
 func TestDeleteTombstoneWins(t *testing.T) {
 	s, err := New(Config{Stream: streamCfg})
 	if err != nil {
@@ -647,12 +721,9 @@ func TestDeleteTombstoneWins(t *testing.T) {
 		t.Fatal("delete")
 	}
 	// A late writer that still holds the entry: mutation is accepted on
-	// the detached stream, but ensureRegistered must NOT re-register it.
+	// the detached stream, which must stay out of the registry.
 	if _, err := e.st.Ingest([]int64{100}, []int64{1}); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.ensureRegistered("del", e); err != nil {
-		t.Fatalf("ensureRegistered after delete: %v", err)
 	}
 	if s.get("del") != nil {
 		t.Fatal("deleted stream resurrected by late writer")

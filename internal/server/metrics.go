@@ -135,9 +135,10 @@ type metrics struct {
 	batches atomic.Uint64 // ingest batches accepted
 	// ingest batches whose result carried a fresh contract violation
 	violatingBatches atomic.Uint64
+	violations       atomic.Uint64 // samples those batches found violating the contract
 	binaryBatches    atomic.Uint64 // ingest batches decoded from the binary format
 
-	_             [64 - 4*8]byte // read-path counters on the next line
+	_             [64 - 5*8]byte // read-path counters on the next line
 	cacheHits     atomic.Uint64  // query responses replayed from the version-keyed cache
 	cacheMisses   atomic.Uint64  // query responses that had to be computed
 	renders       atomic.Uint64  // responses actually rendered (≤ misses under singleflight)
@@ -149,6 +150,8 @@ type metrics struct {
 	_        [64 - 7*8]byte // cold/error counters off the hot read line
 	panics   atomic.Uint64  // handler panics caught by the recovery barrier
 	degraded atomic.Uint64  // responses served from a stale cache marked degraded
+	// auditor checks, and those that found a mismatch (see audit.go)
+	auditChecked, auditMismatch atomic.Uint64
 
 	// batchStreams records streams-answered-per-/v1/query-request: how
 	// much per-request overhead each batch amortizes.
@@ -315,13 +318,13 @@ func (s *Server) collect() gauges {
 	}
 	var g gauges
 	for _, e := range entries {
-		stats := e.st.Stats()
 		g.streams.Count++
-		g.streams.SamplesInWindow += int64(stats.InWindow)
-		g.streams.AuditChecked += stats.Audits
-		g.streams.AuditMismatch += stats.Mismatches
-		g.streams.Violations += stats.Violations
+		g.streams.SamplesInWindow += int64(e.st.Stats().InWindow)
 	}
+	// Counted where they happen, so a DELETE does not take them back.
+	g.streams.AuditChecked = int64(s.metrics.auditChecked.Load())
+	g.streams.AuditMismatch = int64(s.metrics.auditMismatch.Load())
+	g.streams.Violations = int64(s.metrics.violations.Load())
 	g.limits = map[string]classLimitJSON{
 		"ingest": {Limit: s.limIngest.Limit(), Inflight: s.limIngest.Inflight(), Shed: s.limIngest.Shed()},
 		"read":   {Limit: s.limRead.Limit(), Inflight: s.limRead.Inflight(), Shed: s.limRead.Shed()},
@@ -471,7 +474,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		"counter", "wcmd_audit_checked_total", g.streams.AuditChecked)
 	emit("Audits that found the incremental curves disagreeing and rebuilt them (expect 0).",
 		"counter", "wcmd_audit_mismatch_total", g.streams.AuditMismatch)
-	emit("Contract violations observed, summed over streams.", "counter",
+	emit("Contract violations observed at ingest.", "counter",
 		"wcmd_contract_violations_total", g.streams.Violations)
 	emit("Handler panics caught by the recovery barrier.", "counter",
 		"wcmd_panics_total", m.panics.Load())

@@ -78,21 +78,11 @@ func (t *tenantState) reserveStream() bool {
 	}
 }
 
-// releaseStream returns one quota slot (stream dropped or deleted).
+// releaseStream returns one quota slot (creation race lost, or stream
+// deleted).
 func (t *tenantState) releaseStream() {
 	if t != nil {
 		t.streams.Add(-1)
-	}
-}
-
-// reclaimStream re-claims a slot for an entry resurrected by
-// ensureRegistered after a dropIfEmpty race. Unconditional: failing the
-// re-registration would strand acknowledged samples, so a transient
-// overshoot of the quota (bounded by the number of concurrently racing
-// requests) is the lesser evil.
-func (t *tenantState) reclaimStream() {
-	if t != nil {
-		t.streams.Add(1)
 	}
 }
 
@@ -266,7 +256,7 @@ func (t *tenantState) account(d admitDecision, status int, lat time.Duration) {
 	}
 }
 
-// errStreamQuota marks a getOrCreate rejection by the owning tenant's
+// errStreamQuota marks a creation refused by the owning tenant's
 // stream quota; handlers answer it 429 instead of 500.
 var errStreamQuota = errors.New("stream quota exceeded")
 

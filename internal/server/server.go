@@ -230,27 +230,16 @@ type Server struct {
 	ckDone     chan struct{} // checkpoint loop exited
 }
 
-// Entry registry states (see entry.state). An entry starts live; leaving
-// the registry tombstones it, and the tombstone kind decides what a
-// racing late writer does: re-register (droppedEmpty — the removal was
-// only garbage collection of a ghost) or let go (deleted — the user asked
-// for the stream to die, so losing the race to a DELETE is a legal
-// ordering).
-const (
-	entryLive int32 = iota
-	entryDroppedEmpty
-	entryDeleted
-)
-
-// entry pairs a stream with its version-keyed query cache and its
-// registry-membership state. state only transitions away from entryLive
-// under the owning shard's write lock, so writers that observe a
-// tombstone after mutating the stream can resolve the race under that
-// same lock (see ensureRegistered).
+// entry pairs a stream with its version-keyed query cache. An entry is
+// registered only by a creation that lands state in it (see handleIngest
+// and handleContract) and leaves the registry only by DELETE, which sets
+// deleted under the owning shard's write lock: a writer that still holds
+// the entry checks deleted under the read lock before it logs, so no WAL
+// record of a deleted incarnation follows its tombstone.
 type entry struct {
-	st    *stream.Stream
-	cache queryCache
-	state atomic.Int32
+	st      *stream.Stream
+	cache   queryCache
+	deleted atomic.Bool
 	// owner is the tenant whose stream quota this entry occupies — the
 	// tenant that created it. nil for entries restored by WAL recovery
 	// (the creating request's identity is not in the log) and for
@@ -429,102 +418,41 @@ func (s *Server) get(id string) *entry {
 }
 
 // getOrCreate returns the entry for id, creating it with the server's
-// stream defaults on first use. created reports whether this call made it;
-// callers that then fail before any state lands may dropIfEmpty the stream
-// so rejected requests don't register ghosts.
-//
-// Creation is where per-tenant stream quotas bite: the requesting tenant
-// (owner; nil skips quota accounting, as for WAL recovery and tests) must
-// reserve a quota slot before the entry is registered. The slot is
-// reserved with a CAS on the tenant's counter, so concurrent creates
-// across shards cannot oversubscribe the quota.
-func (s *Server) getOrCreate(id string, owner *tenantState) (e *entry, created bool, err error) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	e = sh.streams[id]
-	sh.mu.RUnlock()
-	if e != nil {
-		return e, false, nil
+// stream defaults on first use. Its caller must land state in a created
+// entry (an ingest batch that passed stream.ValidateBatch, a contract), so
+// the registry never holds a stream nobody wrote to.
+func (s *Server) getOrCreate(id string, owner *tenantState) (*entry, error) {
+	if e := s.get(id); e != nil {
+		return e, nil
 	}
+	return s.create(id, owner)
+}
+
+// create registers a new entry for id, or returns the one a concurrent
+// creation registered first. Creation is where per-tenant stream quotas
+// bite: the requesting tenant (owner; nil skips quota accounting, as for
+// WAL recovery and tests) must reserve a quota slot before the entry is
+// registered. The slot is reserved with a CAS on the tenant's counter, so
+// concurrent creates across shards cannot oversubscribe the quota.
+func (s *Server) create(id string, owner *tenantState) (*entry, error) {
 	if !owner.reserveStream() {
-		return nil, false, fmt.Errorf("tenant %q %w (max %d)", owner.name, errStreamQuota, owner.maxStreams)
+		return nil, fmt.Errorf("tenant %q %w (max %d)", owner.name, errStreamQuota, owner.maxStreams)
 	}
 	st, err := stream.New(s.cfg.Stream) // built outside the shard lock
 	if err != nil {
 		owner.releaseStream()
-		return nil, false, err
+		return nil, err
 	}
+	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e := sh.streams[id]; e != nil {
 		owner.releaseStream() // lost the creation race; no entry to own
-		return e, false, nil
+		return e, nil
 	}
-	e = &entry{st: st, owner: owner}
+	e := &entry{st: st, owner: owner}
 	sh.streams[id] = e
-	return e, true, nil
-}
-
-// dropIfEmpty removes a just-created stream that was never mutated, so a
-// rejected first request doesn't register a ghost. The version check (not
-// just Total) also protects entries that carry only a contract.
-//
-// The removed entry is tombstoned entryDroppedEmpty rather than silently
-// forgotten: a concurrent request may have fetched the same entry via
-// get()/getOrCreate() before the delete and mutated it right after the
-// version check here — without the tombstone those samples would land in
-// an orphaned stream invisible to every later read. Such late writers
-// detect the tombstone after their mutation and re-register through
-// ensureRegistered. The tombstone is stored BEFORE the final version
-// check: a writer bumps the version before it looks for the tombstone, and
-// both are sequentially consistent atomics, so either this check sees the
-// writer's mutation and backs off, or the writer sees the tombstone and
-// re-registers. (Checking first and tombstoning second let a writer slip
-// its whole mutation and tombstone check in between, losing the stream.)
-func (s *Server) dropIfEmpty(id string, e *entry) {
-	if e.st.Version() != 0 {
-		return
-	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.streams[id]; !ok || cur != e {
-		return
-	}
-	e.state.Store(entryDroppedEmpty)
-	if e.st.Version() != 0 {
-		e.state.Store(entryLive)
-		return
-	}
-	delete(sh.streams, id)
-	e.owner.releaseStream()
-}
-
-// ensureRegistered resolves the dropIfEmpty race for a writer that just
-// mutated e: if a concurrent dropIfEmpty tombstoned the entry between
-// this request's lookup and its mutation, re-register it so the mutation
-// stays reachable. Returns an error when re-registration is impossible
-// (a different stream now owns the id) — the caller fails the request
-// loudly instead of acknowledging samples no read can see. A deleted
-// tombstone is left alone: the mutation simply serialized before the
-// user's DELETE.
-func (s *Server) ensureRegistered(id string, e *entry) error {
-	if e.state.Load() != entryDroppedEmpty {
-		return nil
-	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.state.Load() != entryDroppedEmpty {
-		return nil
-	}
-	if cur, ok := sh.streams[id]; ok && cur != e {
-		return fmt.Errorf("stream %q was dropped and re-created concurrently; retry", id)
-	}
-	sh.streams[id] = e
-	e.state.Store(entryLive)
-	e.owner.reclaimStream()
-	return nil
+	return e, nil
 }
 
 // ---- request/response shapes ---------------------------------------------
@@ -747,10 +675,34 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := r.PathValue("id")
-	e, created, err := s.getOrCreate(id, s.tenantFor(r))
-	if err != nil {
-		writeCreateError(w, err)
-		return
+	if s.wal != nil {
+		// Close waits for every ingest holding the gate before its final
+		// checkpoint, and an ingest that finds the server closed neither
+		// creates nor applies anything, so that checkpoint never captures
+		// a batch whose ack is still undecided.
+		s.closeGate.RLock()
+		defer s.closeGate.RUnlock()
+		if s.closed {
+			writeJSON(w, http.StatusInternalServerError, errorResponse{errServerClosed.Error()})
+			return
+		}
+	}
+	e := s.get(id)
+	if e == nil {
+		// Only a batch a new stream accepts creates one. A new stream's
+		// newest timestamp is 0, so its Ingest refuses exactly the batches
+		// ValidateBatch refuses, with the same error. A batch that passes
+		// here can be refused by the tail only because another writer made
+		// the stream non-empty first, so no refusal leaves an empty stream
+		// in the registry.
+		if err := stream.ValidateBatch(ts, ds); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+			return
+		}
+		if e, err = s.create(id, s.tenantFor(r)); err != nil {
+			writeCreateError(w, err)
+			return
+		}
 	}
 	if s.faults != nil {
 		s.fire("ingest:update", e)
@@ -759,7 +711,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// brackets the tail's apply/WAL children: exactly the time the stream
 	// update takes from this request's view.
 	upd := s.metrics.openStage(stageUpdate, tr, tr.Root(), tDecoded)
-	res, code, err := s.ingestTail(r.Context(), id, e, created, ts, ds, tr, upd.ref)
+	res, code, err := s.ingestTail(r.Context(), id, e, ts, ds, tr, upd.ref)
 	tUpdated := time.Now()
 	upd.end(tUpdated)
 	if err != nil {
@@ -790,38 +742,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // handler acknowledges only a durable batch. The apply, wal_append and
 // wal_fsync stages nest under parent, the handler's update span. It returns
 // the result to render, or the status and error to answer with.
-func (s *Server) ingestTail(ctx context.Context, id string, e *entry, created bool, ts, ds []int64, tr *trace.Active, parent trace.SpanRef) (stream.IngestResult, int, error) {
-	if s.wal != nil {
-		// Close waits for every tail holding the gate before its final
-		// checkpoint, and a tail that finds the server closed applies
-		// nothing, so that checkpoint never captures a batch whose ack is
-		// still undecided.
-		s.closeGate.RLock()
-		defer s.closeGate.RUnlock()
-		if s.closed {
-			if created {
-				s.dropIfEmpty(id, e)
-			}
-			return stream.IngestResult{}, http.StatusInternalServerError, errServerClosed
-		}
-	}
+func (s *Server) ingestTail(ctx context.Context, id string, e *entry, ts, ds []int64, tr *trace.Active, parent trace.SpanRef) (stream.IngestResult, int, error) {
 	t0 := time.Now()
 	res, err := e.st.Ingest(ts, ds)
 	tApplied := time.Now()
 	s.metrics.closeStage(stageApply, tr, parent, t0, tApplied)
 	if err != nil {
-		if created {
-			s.dropIfEmpty(id, e)
-		}
 		return res, http.StatusBadRequest, err
-	}
-	if err := s.ensureRegistered(id, e); err != nil {
-		return res, http.StatusConflict, err
 	}
 	s.metrics.samples.Add(uint64(res.Accepted))
 	s.metrics.batches.Add(1)
 	if res.Violation != nil {
 		s.metrics.violatingBatches.Add(1)
+		s.metrics.violations.Add(uint64(res.Violated))
 	}
 	if s.wal != nil {
 		if err := s.walLog(ctx, id, e, res.Version, ts, ds, tr, parent, tApplied); err != nil {
@@ -883,16 +816,12 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	e, _, err := s.getOrCreate(id, s.tenantFor(r))
+	e, err := s.getOrCreate(id, s.tenantFor(r))
 	if err != nil {
 		writeCreateError(w, err)
 		return
 	}
 	_ = e.st.SetContract(wl, bounds.Window()) // cannot fail: NewBounds passed this window above
-	if err := s.ensureRegistered(id, e); err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]int{"window": bounds.Window()})
 }
 
@@ -930,7 +859,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	sh.mu.Lock()
 	e, ok := sh.streams[id]
 	if ok {
-		e.state.Store(entryDeleted)
+		e.deleted.Store(true)
 		delete(sh.streams, id)
 		e.owner.releaseStream()
 		if s.wal != nil {
@@ -957,11 +886,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			// did not — a recovery could resurrect this stream.
 			writeJSON(w, http.StatusInternalServerError,
 				errorResponse{fmt.Sprintf("stream deleted but wal tombstone failed: %v", walErr)})
-			return
-		}
-		if err := s.walShards[idx].RemoveSnapshot(id); err != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{fmt.Sprintf("stream deleted but snapshot removal failed: %v", err)})
 			return
 		}
 	}
@@ -1016,7 +940,7 @@ func writeBusy(w http.ResponseWriter, msg string, hint int) {
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{msg})
 }
 
-// writeCreateError maps getOrCreate failures: a tenant stream-quota
+// writeCreateError maps creation failures: a tenant stream-quota
 // rejection is the client's standing, not a server fault — 429, no
 // Retry-After (quota slots free only when the tenant deletes streams);
 // anything else stays a 500.

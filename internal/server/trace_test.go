@@ -359,7 +359,7 @@ func TestTraceDegradedKept(t *testing.T) {
 	// Seed stream + cache directly, then stale the cache, as in
 	// TestLockHoldFault: the degraded path needs a stale cached answer
 	// behind a held lock.
-	e, _, err := s.getOrCreate("dg", nil)
+	e, err := s.getOrCreate("dg", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

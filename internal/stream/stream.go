@@ -195,6 +195,7 @@ type IngestResult struct {
 	Total      int64           // samples ever ingested
 	Version    int64           // stream version after this batch's bump
 	Violation  *core.Violation // first contract violation IN THIS BATCH, if any
+	Violated   int             // samples of this batch that violated the contract
 	Violations int64           // cumulative contract violations
 	// Drift is the stream's audit mismatch count (expect 0): audits that
 	// found the settled extrema disagreeing with a batch extraction of the
@@ -240,6 +241,11 @@ func validateBatch(ts, demands []int64, last int64) error {
 	}
 	return nil
 }
+
+// ValidateBatch checks a batch exactly as Ingest checks it on a stream that
+// holds no samples, with the same error: the check a caller can run before
+// it creates a stream for the batch.
+func ValidateBatch(ts, demands []int64) error { return validateBatch(ts, demands, 0) }
 
 // Observe ingests a single sample with a caller-supplied clock reading,
 // clamping a timestamp that lags the newest one already ingested forward
@@ -292,7 +298,7 @@ func (s *Stream) ingestLocked(ts, demands []int64) IngestResult {
 		// Checked before the next write: a batch longer than the window
 		// overwrites the sums this sample's windows start from.
 		if v := c.Check(s.prefix, int(i), int(s.total+int64(j)+1-s.contractAt)); v != nil {
-			s.violations++
+			res.Violated++
 			if s.firstViol == nil {
 				s.firstViol = v
 			}
@@ -303,6 +309,7 @@ func (s *Stream) ingestLocked(ts, demands []int64) IngestResult {
 	}
 	s.total += int64(len(ts))
 	s.lastT = ts[len(ts)-1]
+	s.violations += int64(res.Violated)
 	s.bumpLocked()
 	res.Total, res.Violations, res.Drift = s.total, s.violations, s.mismatches
 	// The WAL tags each logged batch with the version it lands at, for
@@ -328,9 +335,14 @@ func (s *Stream) growLocked(n int64) {
 }
 
 // Batch is one ingest request's samples, as replayed from the WAL.
+// Version is the stream version the batch first landed at (0 when
+// unknown): replay raises the stream's version to it, so a version bump
+// that left no log record (a contract change, a mismatching audit) does
+// not leave the replayed stream numbering its batches below the log's.
 type Batch struct {
 	Ts      []int64
 	Demands []int64
+	Version int64
 }
 
 // BatchResult reports the outcome of one Batch of an IngestBatches call:
@@ -351,7 +363,7 @@ type BatchResult struct {
 // Ingest call would have produced: an invalid batch records its validation
 // error, changes no state, and does not break later batches; a valid batch
 // records the same counts, total, violation attribution, and one version
-// bump.
+// bump, raised further to the batch's Version when that is higher.
 func (s *Stream) IngestBatches(batches []Batch, results []BatchResult) {
 	if len(batches) != len(results) {
 		panic(fmt.Sprintf("stream: IngestBatches with %d batches, %d results", len(batches), len(results)))
@@ -363,7 +375,12 @@ func (s *Stream) IngestBatches(batches []Batch, results []BatchResult) {
 			results[i] = BatchResult{Err: err}
 			continue
 		}
-		results[i] = BatchResult{Res: s.ingestLocked(b.Ts, b.Demands)}
+		res := s.ingestLocked(b.Ts, b.Demands)
+		if b.Version > res.Version {
+			s.version.Store(b.Version)
+			res.Version = b.Version
+		}
+		results[i] = BatchResult{Res: res}
 	}
 }
 

@@ -150,8 +150,10 @@ type Manager struct {
 	closed atomic.Bool
 }
 
-// ShardLog is one shard's segment chain. Appends serialize on its mutex;
-// snapshot file operations serialize on snapMu (they never block appends).
+// ShardLog is one shard's segment chain. Appends serialize on its mutex.
+// Snapshot files take no lock and never block appends: only the caller's
+// checkpoint of this shard writes and removes them, one checkpoint at a
+// time.
 type ShardLog struct {
 	mgr *Manager
 	dir string
@@ -162,8 +164,6 @@ type ShardLog struct {
 	off   int64
 	buf   []byte
 	dirty bool
-
-	snapMu sync.Mutex
 }
 
 // Open loads (or initializes) a data directory: validates meta against the
@@ -511,31 +511,13 @@ func (l *ShardLog) startSegmentLocked(seg uint64) error {
 // WriteSnapshot atomically persists one stream's state, tagged with the
 // checkpoint's rotation segment and the stream version inside the blob.
 func (l *ShardLog) WriteSnapshot(id string, snapSeg uint64, version int64, state []byte) error {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
 	return writeSnapshotFile(l.dir, id, snapSeg, version, state)
-}
-
-// RemoveSnapshot unlinks a stream's snapshot file, if present. DELETE
-// calls it after logging the tombstone; losing the race with a concurrent
-// checkpoint is fine — the tombstone's position invalidates whatever
-// snapshot that checkpoint writes.
-func (l *ShardLog) RemoveSnapshot(id string) error {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	err := os.Remove(filepath.Join(l.dir, snapFileName(id)))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
 }
 
 // CleanSnapshots removes every snapshot file whose stream id the keep
 // function rejects — checkpoint hygiene for streams that died since the
 // last pass.
 func (l *ShardLog) CleanSnapshots(keep func(id string) bool) error {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return err
